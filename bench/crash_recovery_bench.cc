@@ -56,20 +56,16 @@ main(int argc, char **argv)
     const trace::Trace trace =
         stl::testing::crashTrace(ops, seed, address_space);
 
-    // One cell per layer, alternating the zoned-device and shard
-    // legs so the smoke stays fast while every crash path (device
-    // power loss, offline torn tail, sharded remount) runs.
+    // One cell per layer, alternating the zoned-device leg so the
+    // smoke stays fast while every crash path (device power loss,
+    // offline torn tail) runs.
     const std::vector<CrashCase> cells{
-        {stl::TranslationKind::LogStructured, true, 1, false, 29,
+        {stl::TranslationKind::LogStructured, true, false, 29, seed},
+        {stl::TranslationKind::LogStructured, true, true, 97, seed},
+        {stl::TranslationKind::FiniteLogStructured, false, true, 131,
          seed},
-        {stl::TranslationKind::LogStructured, true, 4, true, 97,
-         seed},
-        {stl::TranslationKind::FiniteLogStructured, false, 1, true,
-         131, seed},
-        {stl::TranslationKind::MediaCache, false, 1, false, 41,
-         seed},
-        {stl::TranslationKind::Conventional, false, 1, false, 59,
-         seed},
+        {stl::TranslationKind::MediaCache, false, false, 41, seed},
+        {stl::TranslationKind::Conventional, false, false, 59, seed},
     };
 
     const std::string path =

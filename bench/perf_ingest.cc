@@ -8,28 +8,36 @@
  *  - lskt_decode:  row-major binary -> Trace (trace/binary.h)
  *  - lskc_open:    columnar mmap open + full validation
  *  - lskc_iterate: pulling every record through the zero-copy view
+ *                  and reading all three columns of each
  *  - field_parse:  std::from_chars vs strtoull on CSV fields (the
  *                  parser rides from_chars; the ratio is pinned
  *                  here so a regression to locale-aware parsing
  *                  shows up)
  *  - generator:    streaming workload generator record rate
- *  - stream_rss:   peak-RSS growth while replaying a streamed
- *                  workload far larger than its chunk (flat = the
- *                  stream never materializes)
+ *  - stream_rss:   growth of the current RSS (sampled from
+ *                  /proc/self/statm during the replay, against the
+ *                  value just before it) while replaying a streamed
+ *                  workload far larger than its chunk; flat = the
+ *                  stream never materializes. A positive control
+ *                  replays the same records built into an in-RAM
+ *                  Trace inside the leg and must grow past the
+ *                  same threshold, so the gate can fail.
  *
- * The bench self-checks two contracts and exits non-zero when they
- * do not hold: LSKC mmap-open throughput is at least 10x the CSV
- * parse, and replaying the mmap'd file is byte-identical
- * (SimResult operator==, including seekTimeSec bits) to replaying
- * the same records from RAM.
+ * The bench self-checks its contracts and exits non-zero when one
+ * does not hold: LSKC mmap-open throughput is at least 10x the CSV
+ * parse, replaying the mmap'd file is byte-identical (SimResult
+ * operator==, including seekTimeSec bits) to replaying the same
+ * records from RAM, the streamed replay stays flat and the
+ * materialized control does not.
  *
  * --json=PATH writes the "ingest" section (BENCH_ingest.json is
  * the tracked file, BENCH_ingest.smoke.json the CI artifact);
  * --smoke shrinks the workload for CI.
  */
 
-#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -38,6 +46,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -62,13 +71,59 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Peak RSS of the process so far, in bytes (Linux: KiB units). */
+/** Current resident set size in bytes (Linux /proc/self/statm). */
 std::uint64_t
-peakRssBytes()
+currentRssBytes()
 {
-    struct rusage usage = {};
-    getrusage(RUSAGE_SELF, &usage);
-    return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
+    std::ifstream statm("/proc/self/statm");
+    std::uint64_t size_pages = 0;
+    std::uint64_t resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    return resident_pages *
+           static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/** Samples the current RSS every kEvery replayed requests and keeps
+ *  the largest sample. */
+class RssSampler : public stl::SimObserver
+{
+  public:
+    static constexpr std::uint64_t kEvery = 8192;
+
+    void
+    onEvent(const stl::IoEvent &event) override
+    {
+        (void)event;
+        if (++events_ % kEvery == 0)
+            peak_ = std::max(peak_, currentRssBytes());
+    }
+
+    std::uint64_t peak() const { return peak_; }
+
+  private:
+    std::uint64_t events_ = 0;
+    std::uint64_t peak_ = 0;
+};
+
+/**
+ * RSS growth of one replay: the largest sample taken while
+ * replaying the source `prepare` builds, minus the RSS just before
+ * `prepare` ran (0 if RSS never rose above that).
+ */
+template <typename Prepare>
+std::uint64_t
+replayRssGrowth(const stl::SimConfig &config, Prepare prepare)
+{
+    const std::uint64_t before = currentRssBytes();
+    const std::shared_ptr<const trace::TraceSource> source =
+        prepare();
+    const auto input = source->open();
+    RssSampler sampler;
+    stl::Simulator simulator(config);
+    simulator.addObserver(&sampler);
+    (void)simulator.run(*input);
+    const std::uint64_t peak = sampler.peak();
+    return peak > before ? peak - before : 0;
 }
 
 std::uint64_t
@@ -172,6 +227,7 @@ main(int argc, char **argv)
     trace::tryWriteLskcFile(lskc_path, source).orFatal();
 
     bool ok = true;
+    std::uint64_t sink = 0;
 
     // --- csv_parse ------------------------------------------------
     auto start = std::chrono::steady_clock::now();
@@ -204,7 +260,8 @@ main(int argc, char **argv)
     const Leg lskc_open = leg(source.size(), fileBytes(lskc_path),
                               secondsSince(start), open_iters);
 
-    // --- lskc_iterate (zero-copy pull of every record) ------------
+    // --- lskc_iterate (zero-copy pull of every record, every
+    //     column of each) -------------------------------------------
     auto lskc_source =
         trace::LskcSource::tryOpen(lskc_path).value();
     start = std::chrono::steady_clock::now();
@@ -212,13 +269,17 @@ main(int argc, char **argv)
         auto view = lskc_source->open();
         trace::IoEventBatch batch;
         std::uint64_t pulled = 0;
-        std::uint64_t timestamps = 0;
         for (;;) {
             const std::size_t n = view->next(batch, 4096);
             if (n == 0)
                 break;
             pulled += n;
-            timestamps += batch.timestamp(n - 1);
+            for (std::size_t k = 0; k < n; ++k) {
+                const SectorExtent &extent = batch.extent(k);
+                sink += extent.start + extent.count +
+                        batch.timestamp(k) +
+                        static_cast<std::uint64_t>(batch.type(k));
+            }
         }
         if (pulled != source.size()) {
             std::cerr << "lskc_iterate: short pull\n";
@@ -238,7 +299,6 @@ main(int argc, char **argv)
             fields.push_back(std::to_string(
                 rng.nextUint(1'000'000'000'000ULL)));
     }
-    std::uint64_t sink = 0;
     start = std::chrono::steady_clock::now();
     for (const std::string &field : fields) {
         std::uint64_t value = 0;
@@ -290,25 +350,48 @@ main(int argc, char **argv)
     }
 
     // --- stream_rss (flat-memory streaming replay) ----------------
+    // The replay runs under the conventional layer, whose state does
+    // not grow with the trace, so any growth is the input's own. The
+    // streamed leg runs first so the control's freed trace cannot be
+    // recycled into it.
     const std::uint64_t stream_records =
         stream_chunks * stream_chunk_records;
     const std::uint64_t materialized_bytes =
         stream_records * sizeof(trace::IoRecord);
-    const std::uint64_t rss_before = peakRssBytes();
-    workloads::WorkloadStream big(workloads::mixedStream(
-        "ingest-stream", stream_chunks, stream_chunk_records));
-    const stl::SimResult streamed = simulator.run(big);
-    const std::uint64_t rss_after = peakRssBytes();
-    const std::uint64_t rss_delta = rss_after - rss_before;
-    sink += streamed.reads;
-    // A stream that secretly materialized would grow the peak by
+    const workloads::StreamSpec stream_spec = workloads::mixedStream(
+        "ingest-stream", stream_chunks, stream_chunk_records);
+    stl::SimConfig flat_config;
+    flat_config.translation = stl::TranslationKind::Conventional;
+    const std::uint64_t rss_delta =
+        replayRssGrowth(flat_config, [&] {
+            return std::make_shared<const workloads::StreamSource>(
+                stream_spec);
+        });
+    // Positive control: the same records materialized inside the
+    // leg. A measurement that cannot see this growth is blind.
+    const std::uint64_t control_delta =
+        replayRssGrowth(flat_config, [&] {
+            workloads::WorkloadStream records(stream_spec);
+            return std::make_shared<const trace::InMemoryTraceSource>(
+                trace::materialize(records));
+        });
+    // A stream that secretly materialized would grow RSS by
     // ~materialized_bytes; flat means a small fraction of it.
-    const bool rss_flat = rss_delta < materialized_bytes / 4;
+    const std::uint64_t rss_threshold = materialized_bytes / 4;
+    const bool rss_flat = rss_delta < rss_threshold;
+    const bool control_grew = control_delta >= rss_threshold;
     if (!rss_flat) {
-        std::cerr << "FAIL: streaming replay grew peak RSS by "
+        std::cerr << "FAIL: streaming replay grew RSS by "
                   << rss_delta << " bytes ("
                   << materialized_bytes
                   << " bytes materialized equivalent)\n";
+        ok = false;
+    }
+    if (!control_grew) {
+        std::cerr << "FAIL: the materialized control grew RSS by "
+                     "only "
+                  << control_delta << " bytes (>= " << rss_threshold
+                  << " required); the RSS probe is blind\n";
         ok = false;
     }
 
@@ -363,7 +446,10 @@ main(int argc, char **argv)
          << ", \"rss_delta_mb\": "
          << jsonNumber(static_cast<double>(rss_delta) / 1e6)
          << ", \"flat\": " << (rss_flat ? "true" : "false")
-         << "}\n";
+         << ", \"control_rss_delta_mb\": "
+         << jsonNumber(static_cast<double>(control_delta) / 1e6)
+         << ", \"control_grew\": "
+         << (control_grew ? "true" : "false") << "}\n";
     json << "  }\n}\n";
 
     if (!json_path.empty()) {
@@ -399,7 +485,10 @@ main(int argc, char **argv)
                                 materialized_bytes) /
                             1e6)
               << " MB materialized equivalent ("
-              << (rss_flat ? "flat" : "NOT FLAT") << ")\n";
+              << (rss_flat ? "flat" : "NOT FLAT") << "); control "
+              << jsonNumber(static_cast<double>(control_delta) / 1e6)
+              << " MB (" << (control_grew ? "grew" : "DID NOT GROW")
+              << ")\n";
 
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);

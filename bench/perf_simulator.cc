@@ -10,12 +10,7 @@
  *    configurations and writes the "replay" section of the tracking
  *    file (BENCH_extent_map.json), preserving the "extent_map"
  *    section written by perf_extent_map. --ops=N scales the trace
- *    (CI smoke uses a small N); --reps=R controls timing repeats;
- *    --baseline-ops=X is the pre-optimization serial
- *    log-structured ops/sec the ratio is computed against. The
- *    section also carries a sharded leg (the LS replay at 4
- *    replay shards on a dedicated pool) with its throughput ratio
- *    over serial and a byte-identity check of the two SimResults.
+ *    (CI smoke uses a small N); --reps=R controls timing repeats.
  */
 
 #include <benchmark/benchmark.h>
@@ -29,7 +24,6 @@
 
 #include "bench_json.h"
 #include "stl/simulator.h"
-#include "sweep/task_pool.h"
 #include "util/random.h"
 
 namespace
@@ -162,8 +156,7 @@ measureOpsPerSec(const stl::SimConfig &config,
 }
 
 int
-runJsonMode(const std::string &path, std::size_t ops, int reps,
-            double baseline_ops)
+runJsonMode(const std::string &path, std::size_t ops, int reps)
 {
     const trace::Trace trace = mixedTrace(ops);
 
@@ -188,13 +181,10 @@ runJsonMode(const std::string &path, std::size_t ops, int reps,
             << "    \"ops\": " << trace.size() << ",\n"
             << "    \"reps\": " << reps << ",\n"
             << "    \"configs\": [\n";
-    double ls_ops_per_sec = 0.0;
     bool first = true;
     for (const auto &[name, config] : configs) {
         const double ops_per_sec =
             measureOpsPerSec(config, trace, reps);
-        if (name == "LS")
-            ls_ops_per_sec = ops_per_sec;
         if (!first)
             section << ",\n";
         first = false;
@@ -203,44 +193,8 @@ runJsonMode(const std::string &path, std::size_t ops, int reps,
         std::cout << "replay " << name << ": " << ops_per_sec
                   << " ops/sec\n";
     }
-    const double ratio =
-        baseline_ops > 0.0 ? ls_ops_per_sec / baseline_ops : 0.0;
-
-    // Sharded leg: the LS replay again, with per-batch seek
-    // classification fanned over 4 shards on a small dedicated
-    // pool. Must be byte-identical to the serial SimResult.
-    stl::SimConfig ls_sharded = ls;
-    ls_sharded.replayShards = 4;
-    sweep::TaskPool shard_pool(3);
-    ls_sharded.shardExecutor = sweep::makeShardExecutor(shard_pool);
-    const double sharded_ops =
-        measureOpsPerSec(ls_sharded, trace, reps);
-    const double sharded_ratio =
-        ls_ops_per_sec > 0.0 ? sharded_ops / ls_ops_per_sec : 0.0;
-    const bool sharded_identical =
-        stl::Simulator(ls).run(trace) ==
-        stl::Simulator(ls_sharded).run(trace);
-
-    section << "\n    ],\n"
-            << "    \"baselineOpsPerSec\": " << baseline_ops
-            << ",\n"
-            << "    \"serialReplayRatio\": " << ratio << ",\n"
-            << "    \"shardedOpsPerSec\": " << sharded_ops << ",\n"
-            << "    \"shardedVsSerial\": " << sharded_ratio
-            << ",\n"
-            << "    \"shardedIdentical\": "
-            << (sharded_identical ? "true" : "false") << "\n"
+    section << "\n    ]\n"
             << "  }";
-    std::cout << "serial LS replay ratio vs baseline: " << ratio
-              << "x\n";
-    std::cout << "sharded (4) LS replay vs serial: "
-              << sharded_ratio << "x, byte-identical: "
-              << (sharded_identical ? "yes" : "NO") << "\n";
-    if (!sharded_identical) {
-        std::cerr << "perf_simulator: sharded replay diverged "
-                     "from serial\n";
-        return 1;
-    }
 
     const std::string existing = bench::readFile(path);
     const std::string extent_map =
@@ -265,10 +219,6 @@ main(int argc, char **argv)
     std::string json_path;
     std::size_t ops = 200000;
     int reps = 3;
-    // Serial log-structured replay throughput of the std::map-based
-    // seed implementation on the reference box (see
-    // docs/performance.md); override when re-baselining.
-    double baseline_ops = 1.136e6;
     std::vector<char *> pass;
     pass.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
@@ -279,13 +229,11 @@ main(int argc, char **argv)
             ops = std::stoull(arg.substr(6));
         else if (arg.rfind("--reps=", 0) == 0)
             reps = std::stoi(arg.substr(7));
-        else if (arg.rfind("--baseline-ops=", 0) == 0)
-            baseline_ops = std::stod(arg.substr(15));
         else
             pass.push_back(argv[i]);
     }
     if (!json_path.empty())
-        return runJsonMode(json_path, ops, reps, baseline_ops);
+        return runJsonMode(json_path, ops, reps);
 
     int pass_argc = static_cast<int>(pass.size());
     benchmark::Initialize(&pass_argc, pass.data());

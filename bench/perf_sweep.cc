@@ -6,17 +6,11 @@
  * results, and writes the throughput comparison to a JSON file
  * (default BENCH_sweep.json) for tracking.
  *
- * Further legs probe the batch-first replay core:
- *  - scalar: the serial sweep at --replay-batch 1 (record-at-a-
- *    time); serial over scalar is the batching speedup
- *    ("batchedVsScalar").
- *  - sharded: the serial sweep at 4 replay shards on a dedicated
- *    shard pool; must be byte-identical, and its throughput over
- *    serial is "shardedVsSerial".
- *  - telemetry: the serial sweep with collection armed; must still
- *    be byte-identical (telemetry never touches SimResult), its
- *    wall time over the plain serial leg is the telemetry overhead
- *    ratio, and its metrics snapshot is embedded under "metrics".
+ * A third leg replays the serial sweep with telemetry armed; it
+ * must still be byte-identical (telemetry never touches SimResult),
+ * its wall time over the plain serial leg is the telemetry overhead
+ * ratio, and its metrics snapshot is embedded under "metrics". Both
+ * ratios compare legs of one run on one machine.
  *
  * On a single-hardware-thread box the parallel (multi-jobs) leg
  * cannot demonstrate a speedup; the report then carries
@@ -89,13 +83,10 @@ allWorkloads(const workloads::ProfileOptions &profile)
 }
 
 sweep::SweepResult
-runOnce(const workloads::ProfileOptions &profile, int jobs,
-        int replay_batch = 0, int replay_shards = 0)
+runOnce(const workloads::ProfileOptions &profile, int jobs)
 {
     sweep::SweepOptions options;
     options.jobs = jobs;
-    options.replayBatchSize = replay_batch;
-    options.replayShards = replay_shards;
     sweep::SweepRunner runner(allWorkloads(profile), fig11Configs(),
                               std::move(options));
     return runner.run();
@@ -107,36 +98,6 @@ deterministicForm(const sweep::SweepResult &sweep)
     std::ostringstream out;
     sweep::writeJson(out, sweep, /*with_telemetry=*/false);
     return out.str();
-}
-
-/**
- * Serial opsPerSec of the checked-in baseline report at `path`, or
- * 0 when the file or field is absent. Scanned before the file is
- * overwritten, so every run prints its ratio against the previous
- * checked-in numbers.
- */
-double
-baselineSerialOpsPerSec(const std::string &path)
-{
-    std::ifstream file(path);
-    if (!file)
-        return 0.0;
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    const std::string doc = buffer.str();
-    const std::string serial_key = "\"serial\":";
-    const std::size_t serial_at = doc.find(serial_key);
-    if (serial_at == std::string::npos)
-        return 0.0;
-    const std::string ops_key = "\"opsPerSec\":";
-    const std::size_t ops_at = doc.find(ops_key, serial_at);
-    if (ops_at == std::string::npos)
-        return 0.0;
-    try {
-        return std::stod(doc.substr(ops_at + ops_key.size()));
-    } catch (const std::exception &) {
-        return 0.0;
-    }
 }
 
 } // namespace
@@ -164,9 +125,6 @@ main(int argc, char **argv)
               << cli->profile.scale << ", serial vs " << parallel_jobs
               << " jobs\n";
 
-    // Read the previous checked-in numbers before overwriting them.
-    const double baseline_ops = baselineSerialOpsPerSec(path);
-
     const bool parallel_leg_valid = hardware > 1;
     if (!parallel_leg_valid)
         std::cout << "perf_sweep: WARNING: hardware concurrency is "
@@ -180,16 +138,8 @@ main(int argc, char **argv)
     (void)runOnce(cli->profile, 1);
 
     const sweep::SweepResult serial = runOnce(cli->profile, 1);
-    // Scalar leg: batch size 1 = record-at-a-time replay; serial
-    // over scalar is the speedup of the batched read path.
-    const sweep::SweepResult scalar =
-        runOnce(cli->profile, 1, /*replay_batch=*/1);
     const sweep::SweepResult parallel =
         runOnce(cli->profile, parallel_jobs);
-    // Sharded leg: serial cell execution, but each replay's seek
-    // classification fans out over 4 shards on a dedicated pool.
-    const sweep::SweepResult sharded =
-        runOnce(cli->profile, 1, 0, /*replay_shards=*/4);
 
     // Telemetry leg: same serial sweep with collection armed. A
     // fresh-zeroed registry isolates this leg's counts, and the
@@ -204,8 +154,6 @@ main(int argc, char **argv)
 
     const bool deterministic =
         deterministicForm(serial) == deterministicForm(parallel) &&
-        deterministicForm(serial) == deterministicForm(scalar) &&
-        deterministicForm(serial) == deterministicForm(sharded) &&
         deterministicForm(serial) == deterministicForm(instrumented);
     const double speedup =
         parallel.telemetry.wallSec > 0.0
@@ -215,22 +163,6 @@ main(int argc, char **argv)
         serial.telemetry.wallSec > 0.0
             ? instrumented.telemetry.wallSec /
                   serial.telemetry.wallSec
-            : 0.0;
-    const double serial_ratio =
-        baseline_ops > 0.0
-            ? serial.telemetry.opsPerSec() / baseline_ops
-            : 0.0;
-    const double batched_vs_scalar =
-        scalar.telemetry.wallSec > 0.0 &&
-                serial.telemetry.wallSec > 0.0
-            ? serial.telemetry.opsPerSec() /
-                  scalar.telemetry.opsPerSec()
-            : 0.0;
-    const double sharded_vs_serial =
-        serial.telemetry.wallSec > 0.0 &&
-                sharded.telemetry.wallSec > 0.0
-            ? sharded.telemetry.opsPerSec() /
-                  serial.telemetry.opsPerSec()
             : 0.0;
 
     std::ostringstream json;
@@ -251,25 +183,11 @@ main(int argc, char **argv)
          << "  \"serial\": {\"jobs\": 1, \"wallSec\": "
          << serial.telemetry.wallSec << ", \"opsPerSec\": "
          << serial.telemetry.opsPerSec() << "},\n"
-         << "  \"scalar\": {\"jobs\": 1, \"replayBatch\": 1, "
-            "\"wallSec\": "
-         << scalar.telemetry.wallSec << ", \"opsPerSec\": "
-         << scalar.telemetry.opsPerSec() << "},\n"
          << "  \"parallel\": {\"jobs\": " << parallel.telemetry.jobs
          << ", \"wallSec\": " << parallel.telemetry.wallSec
          << ", \"opsPerSec\": " << parallel.telemetry.opsPerSec()
          << ", \"steals\": " << parallel.telemetry.steals << "},\n"
-         << "  \"sharded\": {\"jobs\": 1, \"replayShards\": 4, "
-            "\"parallelLegValid\": "
-         << (parallel_leg_valid ? "true" : "false")
-         << ", \"wallSec\": "
-         << sharded.telemetry.wallSec << ", \"opsPerSec\": "
-         << sharded.telemetry.opsPerSec() << "},\n"
          << "  \"speedup\": " << speedup << ",\n"
-         << "  \"batchedVsScalar\": " << batched_vs_scalar << ",\n"
-         << "  \"shardedVsSerial\": " << sharded_vs_serial << ",\n"
-         << "  \"serialRatioVsBaseline\": " << serial_ratio
-         << ",\n"
          << "  \"telemetry\": {\"jobs\": 1, \"wallSec\": "
          << instrumented.telemetry.wallSec << ", \"opsPerSec\": "
          << instrumented.telemetry.opsPerSec()
@@ -287,17 +205,9 @@ main(int argc, char **argv)
     file << json.str();
 
     std::cout << json.str();
-    if (baseline_ops > 0.0)
-        std::cout << "serial ops/sec vs checked-in baseline: "
-                  << serial_ratio << "x (" << baseline_ops
-                  << " -> " << serial.telemetry.opsPerSec()
-                  << ")\n";
-    std::cout << "batched vs scalar replay: " << batched_vs_scalar
-              << "x; sharded vs serial: " << sharded_vs_serial
-              << "x\n";
     std::cout << (deterministic
-                      ? "serial, scalar, parallel and sharded "
-                        "sweeps byte-identical\n"
+                      ? "serial, parallel and telemetry sweeps "
+                        "byte-identical\n"
                       : "MISMATCH between replay legs!\n");
     return deterministic ? 0 : 1;
 }

@@ -6,10 +6,10 @@
 #   default  RelWithDebInfo, the full suite
 #   asan     ASan+UBSan, the full suite
 #   tsan     ThreadSanitizer, the concurrency suites
-#            (TaskPool*/SweepRunner*/Telemetry*/ShardedReplay* —
-#            the sweep runner, its pool, watchdog, cancellation,
-#            checkpoint/resume paths, the sharded telemetry
-#            metrics, and shard-parallel replay classification)
+#            (TaskPool*/SweepRunner*/Telemetry*/IngestReplay* and
+#            the rest of the preset's filter — the sweep runner,
+#            its pool, watchdog, cancellation, checkpoint/resume
+#            paths and the sharded telemetry metrics)
 #
 # The extra mode `bench-smoke` builds the default preset's
 # perf_extent_map / perf_simulator benchmarks and runs them at
@@ -19,10 +19,10 @@
 # the checked-in BENCH_extent_map.json is regenerated manually at
 # full iterations). The smoke artifact records the box's nproc so
 # a ~1x parallel speedup on a 1-CPU runner is not misread as a
-# regression, and a shard-smoke leg replays the Figure 11 sweep
-# once serially and once with --replay-shards 2, diffing the two
-# reports with their timing fields stripped — byte-identical
-# sharding checked end-to-end through the real CLI.
+# regression, and a jobs-smoke leg replays the Figure 11 sweep
+# once at --jobs 1 and once at --jobs 2, diffing the two reports
+# with their timing fields stripped — byte-identical cell-parallel
+# sweeps checked end-to-end through the real CLI.
 #
 # The extra mode `fault-smoke` builds device_fault_sweep under the
 # asan preset and runs the fault matrix at small scale with an
@@ -51,9 +51,10 @@
 # be deterministic), then runs the reduced ingestion benchmark,
 # writing BENCH_ingest.smoke.json. perf_ingest exits non-zero when
 # the LSKC mmap-open >= 10x CSV-parse contract, the zero-copy
-# replay byte-identity, or the streaming-generator flat-RSS assert
-# fails, so all three gate CI (the checked-in BENCH_ingest.json is
-# regenerated manually at full iterations).
+# replay byte-identity, the streaming-generator flat-RSS assert or
+# its materialized positive control fails, so all of them gate CI
+# (the checked-in BENCH_ingest.json is regenerated manually at full
+# iterations).
 #
 # Usage:
 #   scripts/tier1.sh            # all three presets
@@ -87,21 +88,21 @@ run_bench_smoke() {
     echo "{\"nproc\": $(nproc 2>/dev/null || echo 1)}" \
         > BENCH_nproc.smoke.json
 
-    # Shard-smoke: the sweep CLI end-to-end, serial vs
-    # --replay-shards 2. Timing fields are the only permitted
-    # difference; everything else must be byte-identical.
+    # Jobs-smoke: the sweep CLI end-to-end, --jobs 1 vs --jobs 2.
+    # Timing fields are the only permitted difference; everything
+    # else must be byte-identical.
     cmake --build --preset default -j "${JOBS}" --target fig11_saf
     strip_timing() {
         sed -e '/"telemetry":/d' \
             -e 's/, "wallSec": [^,}]*, "opsPerSec": [^}]*//' "$1"
     }
     build/bench/fig11_saf 0.002 --jobs 1 \
-        --json=/tmp/tier1_serial.json > /dev/null
-    build/bench/fig11_saf 0.002 --jobs 1 --replay-shards 2 \
-        --json=/tmp/tier1_sharded.json > /dev/null
-    diff <(strip_timing /tmp/tier1_serial.json) \
-         <(strip_timing /tmp/tier1_sharded.json)
-    echo "==> tier1: shard-smoke byte-identical"
+        --json=/tmp/tier1_jobs1.json > /dev/null
+    build/bench/fig11_saf 0.002 --jobs 2 \
+        --json=/tmp/tier1_jobs2.json > /dev/null
+    diff <(strip_timing /tmp/tier1_jobs1.json) \
+         <(strip_timing /tmp/tier1_jobs2.json)
+    echo "==> tier1: jobs-smoke byte-identical"
 }
 
 run_fault_smoke() {
@@ -157,8 +158,8 @@ run_ingest_smoke() {
     cmp /tmp/tier1_ingest.lskc /tmp/tier1_ingest2.lskc
     echo "==> tier1: ingest-smoke conversion byte-identical"
     # The benchmark asserts its own contracts (>= 10x mmap-open,
-    # replay byte-identity, flat streaming RSS) and fails the gate
-    # via its exit code.
+    # replay byte-identity, flat streaming RSS with a positive
+    # control) and fails the gate via its exit code.
     build/bench/perf_ingest --smoke \
         --json=BENCH_ingest.smoke.json
 }

@@ -8,33 +8,17 @@ namespace logseek::disk
 SeekInfo
 DiskHead::access(const SectorExtent &extent, trace::IoType type)
 {
-    const SeekInfo info = classify(expectedNext_, extent, type);
+    panicIf(extent.empty(), "DiskHead::access: empty extent");
+    SeekInfo info;
+    info.type = type;
+    if (extent.start != expectedNext_) {
+        info.seeked = true;
+        info.distanceBytes =
+            sectorDistanceBytes(expectedNext_, extent.start);
+    }
     expectedNext_ = extent.end();
     ++accessCount_;
     return info;
-}
-
-SeekInfo
-DiskHead::classify(std::uint64_t expected_next,
-                   const SectorExtent &extent, trace::IoType type)
-{
-    panicIf(extent.empty(), "DiskHead::classify: empty extent");
-    SeekInfo info;
-    info.type = type;
-    if (extent.start != expected_next) {
-        info.seeked = true;
-        info.distanceBytes =
-            sectorDistanceBytes(expected_next, extent.start);
-    }
-    return info;
-}
-
-void
-DiskHead::fastForward(std::uint64_t expected_next,
-                      std::uint64_t accesses)
-{
-    expectedNext_ = expected_next;
-    accessCount_ += accesses;
 }
 
 void

@@ -7,7 +7,9 @@
  * immediately following the previous I/O operation, and is a read or
  * write seek according to the type of the second operation. Seek
  * distance is the signed byte offset from the expected next sector
- * to the start of the new operation.
+ * to the start of the new operation. Each access is classified
+ * against where the previous one ended, so a replay classifies its
+ * accesses one at a time, in order.
  */
 
 #ifndef LOGSEEK_DISK_HEAD_H
@@ -59,27 +61,6 @@ class DiskHead
      * @return Seek classification for this access.
      */
     SeekInfo access(const SectorExtent &extent, trace::IoType type);
-
-    /**
-     * Pure seek classification against an explicit head position —
-     * access() without the state update. Because a chunk of
-     * consecutive accesses only depends on the position the head
-     * ends the previous chunk at (the end of its last extent),
-     * classification of a partitioned access stream is exact:
-     * classify each chunk against the end of the preceding chunk's
-     * last extent, then fastForward() past the whole stream.
-     */
-    static SeekInfo classify(std::uint64_t expected_next,
-                             const SectorExtent &extent,
-                             trace::IoType type);
-
-    /**
-     * Advance the head as if `accesses` accesses were performed, the
-     * last of which ended at `expected_next`. Pairs with classify()
-     * when accesses were classified out-of-band.
-     */
-    void fastForward(std::uint64_t expected_next,
-                     std::uint64_t accesses);
 
     /** Sector the next access must start at to avoid a seek. */
     std::uint64_t expectedNext() const { return expectedNext_; }

@@ -1,10 +1,5 @@
 #include "accounting.h"
 
-#include <algorithm>
-#include <utility>
-
-#include "util/logging.h"
-
 namespace logseek::stl
 {
 
@@ -29,10 +24,6 @@ Accounting::Accounting(SimResult &result,
                                          "dir=\"write\"");
     defragRewrites_ =
         &registry.counter("replay_defrag_rewrites_total");
-    shardFlushes_ =
-        &registry.counter("replay_shard_flushes_total");
-    shardAccesses_ =
-        &registry.counter("replay_shard_accesses_total");
 }
 
 void
@@ -63,22 +54,6 @@ void
 Accounting::hostAccess(IoEvent &event, const SectorExtent &extent,
                        trace::IoType type)
 {
-    if (shards_ != 0) {
-        // Order-independent tallies happen on the spot; the seek
-        // classification (and the order-dependent device mirror)
-        // waits for flushDeferred().
-        event.mediaBytes += extent.bytes();
-        if (type == trace::IoType::Read) {
-            result_.mediaReadBytes += extent.bytes();
-            mediaReadBytes_->add(extent.bytes());
-        } else {
-            result_.mediaWriteBytes += extent.bytes();
-            mediaWriteBytes_->add(extent.bytes());
-        }
-        journal_.push_back({&event, extent, type, false});
-        return;
-    }
-
     const disk::SeekInfo info = head_.access(extent, type);
     event.mediaBytes += extent.bytes();
     if (info.seeked) {
@@ -107,16 +82,6 @@ Accounting::hostAccess(IoEvent &event, const SectorExtent &extent,
 void
 Accounting::cleaningAccess(IoEvent &event, const MediaAccess &access)
 {
-    if (shards_ != 0) {
-        if (access.type == trace::IoType::Read)
-            result_.cleaningReadBytes += access.physical.bytes();
-        else
-            result_.cleaningWriteBytes += access.physical.bytes();
-        journal_.push_back(
-            {&event, access.physical, access.type, true});
-        return;
-    }
-
     const disk::SeekInfo info =
         head_.access(access.physical, access.type);
     if (info.seeked) {
@@ -138,91 +103,6 @@ void
 Accounting::attachDevice(disk::ZonedDevice *device)
 {
     device_ = device;
-}
-
-void
-Accounting::enableDeferred(std::size_t shards,
-                           ShardExecutor executor)
-{
-    panicIf(shards == 0,
-            "Accounting: deferred mode needs at least one shard");
-    panicIf(!journal_.empty(),
-            "Accounting: enableDeferred with a non-empty journal");
-    shards_ = shards;
-    executor_ = std::move(executor);
-}
-
-void
-Accounting::flushDeferred()
-{
-    const std::size_t n = journal_.size();
-    if (n == 0)
-        return;
-    seekScratch_.resize(n);
-    secondsScratch_.resize(n);
-
-    // Chunked classification. The head position each chunk starts
-    // from is fully determined by the journal itself (the end of
-    // the previous chunk's last extent), so chunks are independent
-    // and may run on any thread in any order.
-    const std::size_t chunks = std::min(shards_, n);
-    const auto classifyChunk = [&](std::size_t k) {
-        const std::size_t begin = n * k / chunks;
-        const std::size_t end = n * (k + 1) / chunks;
-        std::uint64_t expected =
-            begin == 0 ? head_.expectedNext()
-                       : journal_[begin - 1].extent.end();
-        for (std::size_t i = begin; i < end; ++i) {
-            const DeferredAccess &a = journal_[i];
-            const disk::SeekInfo info =
-                disk::DiskHead::classify(expected, a.extent,
-                                         a.type);
-            seekScratch_[i] = info;
-            secondsScratch_[i] =
-                info.seeked
-                    ? timeModel_.seekSeconds(info.distanceBytes)
-                    : 0.0;
-            expected = a.extent.end();
-        }
-    };
-    if (chunks > 1 && executor_)
-        executor_(chunks, classifyChunk);
-    else
-        for (std::size_t k = 0; k < chunks; ++k)
-            classifyChunk(k);
-
-    // Serial merge in journal order: integer tallies are
-    // order-independent, but seekTimeSec must re-accumulate in the
-    // original order (floating-point addition is not associative)
-    // and the device mirror's zone state is order-dependent.
-    for (std::size_t i = 0; i < n; ++i) {
-        const DeferredAccess &a = journal_[i];
-        const disk::SeekInfo &info = seekScratch_[i];
-        if (info.seeked) {
-            if (a.cleaning) {
-                ++result_.cleaningSeeks;
-                ++a.event->cleaningSeeks;
-                seeksCleaning_->add();
-            } else {
-                a.event->seeks.push_back(info);
-                if (a.type == trace::IoType::Read) {
-                    ++result_.readSeeks;
-                    seeksRead_->add();
-                } else {
-                    ++result_.writeSeeks;
-                    seeksWrite_->add();
-                }
-            }
-            result_.seekTimeSec += secondsScratch_[i];
-        }
-        if (device_ != nullptr)
-            deviceAccess(*a.event, a.extent, a.type);
-    }
-
-    head_.fastForward(journal_.back().extent.end(), n);
-    shardFlushes_->add();
-    shardAccesses_->add(n);
-    journal_.clear();
 }
 
 void

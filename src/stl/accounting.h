@@ -8,7 +8,9 @@
  * host-visible and cleaning accesses share one physical position
  * and the seek definition (§II) is applied in exactly one place.
  * Read stages and the replay engine report what happened; only
- * Accounting decides how it shows up in the result.
+ * Accounting decides how it shows up in the result. Each access is
+ * classified, timed and mirrored through the zoned device the
+ * moment it is reported, in replay order.
  */
 
 #ifndef LOGSEEK_STL_ACCOUNTING_H
@@ -16,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "disk/head.h"
 #include "disk/seek_time.h"
@@ -98,41 +99,9 @@ class Accounting
      *  into the result (end of run; no-op when detached). */
     void finishDevice();
 
-    /**
-     * Switch to deferred (sharded) seek classification. Host and
-     * cleaning accesses are journaled instead of classified on the
-     * spot; flushDeferred() then classifies the journal in `shards`
-     * chunks — in parallel through `executor` when given — and
-     * merges the outcome serially in journal order, which keeps the
-     * result byte-identical to immediate accounting (the seek
-     * definition is prefix-independent: a chunk's classification
-     * depends only on where the previous chunk's last access ended,
-     * and seekTimeSec re-accumulates in the original order).
-     *
-     * Callers must flushDeferred() before reading any seek-derived
-     * state and before any journaled IoEvent is recycled.
-     */
-    void enableDeferred(std::size_t shards,
-                        ShardExecutor executor);
-
-    /** True once enableDeferred() was called. */
-    bool deferredEnabled() const { return shards_ != 0; }
-
-    /** Classify and merge all journaled accesses (see above). */
-    void flushDeferred();
-
     const SimResult &result() const { return result_; }
 
   private:
-    /** One journaled media access awaiting classification. */
-    struct DeferredAccess
-    {
-        IoEvent *event;
-        SectorExtent extent;
-        trace::IoType type;
-        bool cleaning;
-    };
-
     /** Mirror one media access through the attached device. */
     void deviceAccess(IoEvent &event, const SectorExtent &extent,
                       trace::IoType type);
@@ -141,15 +110,6 @@ class Accounting
     disk::DiskHead head_;
     disk::SeekTimeModel timeModel_;
     disk::ZonedDevice *device_ = nullptr;
-
-    /** Deferred mode: 0 = immediate accounting (the default). */
-    std::size_t shards_ = 0;
-    ShardExecutor executor_;
-    std::vector<DeferredAccess> journal_;
-
-    /** Per-entry classification scratch, reused across flushes. */
-    std::vector<disk::SeekInfo> seekScratch_;
-    std::vector<double> secondsScratch_;
 
     // Telemetry handles, resolved once at construction; add() is
     // self-gated on the global enabled flag, so calls below cost a
@@ -162,8 +122,6 @@ class Accounting
     telemetry::Counter *mediaReadBytes_;
     telemetry::Counter *mediaWriteBytes_;
     telemetry::Counter *defragRewrites_;
-    telemetry::Counter *shardFlushes_;
-    telemetry::Counter *shardAccesses_;
 };
 
 } // namespace logseek::stl

@@ -23,29 +23,4 @@ ConventionalLayer::placeWriteInto(const SectorExtent &extent,
     out.push(Segment{extent, extent.start, true});
 }
 
-void
-ConventionalLayer::translateReadBatchInto(
-    std::span<const SectorExtent> extents, SegmentBufferBatch &out)
-    const
-{
-    out.clear();
-    for (const SectorExtent &extent : extents) {
-        panicIf(extent.empty(), "ConventionalLayer: empty read");
-        out.flat().push(Segment{extent, extent.start, true});
-        out.endRecord();
-    }
-}
-
-void
-ConventionalLayer::placeWriteBatchInto(
-    std::span<const SectorExtent> extents, SegmentBufferBatch &out)
-{
-    out.clear();
-    for (const SectorExtent &extent : extents) {
-        panicIf(extent.empty(), "ConventionalLayer: empty write");
-        out.flat().push(Segment{extent, extent.start, true});
-        out.endRecord();
-    }
-}
-
 } // namespace logseek::stl

@@ -26,13 +26,6 @@ class ConventionalLayer : public TranslationLayer
     void placeWriteInto(const SectorExtent &extent,
                         SegmentBuffer &out) override;
 
-    void translateReadBatchInto(std::span<const SectorExtent> extents,
-                                SegmentBufferBatch &out)
-        const override;
-
-    void placeWriteBatchInto(std::span<const SectorExtent> extents,
-                             SegmentBufferBatch &out) override;
-
     std::size_t staticFragmentCount() const override { return 0; }
 
     std::string name() const override { return "conventional"; }

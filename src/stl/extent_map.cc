@@ -559,13 +559,6 @@ ExtentMap::translateInto(const SectorExtent &extent,
                          SegmentBuffer &out) const
 {
     out.clear();
-    translateAppend(extent, out);
-}
-
-void
-ExtentMap::translateAppend(const SectorExtent &extent,
-                           SegmentBuffer &out) const
-{
     if (extent.empty())
         return;
 

@@ -161,14 +161,6 @@ class ExtentMap
                        SegmentBuffer &out) const;
 
     /**
-     * Append-variant of translateInto for batched callers: pushes
-     * the same segments onto `out` without clearing it, so one flat
-     * buffer can collect the results of a whole record batch.
-     */
-    void translateAppend(const SectorExtent &extent,
-                         SegmentBuffer &out) const;
-
-    /**
      * Number of physically contiguous mapped runs intersecting
      * extent plus its unmapped holes — the *dynamic fragmentation*
      * of a read of extent. Allocation-free.

@@ -7,7 +7,6 @@
 #include "stl/finite_log.h"
 #include "stl/log_structured.h"
 #include "stl/media_cache.h"
-#include "stl/sharded_translation.h"
 #include "telemetry/metrics.h"
 
 namespace logseek::stl
@@ -43,8 +42,7 @@ collectEntries(const ExtentMap &map)
 }
 
 /** Merge logically and physically adjacent runs so two maps with
- *  different internal split points compare by meaning, not shape
- *  (the shard union splits at stripe boundaries, for example). */
+ *  different internal split points compare by meaning, not shape. */
 void
 coalesce(std::vector<JournalEntry> &entries)
 {
@@ -154,50 +152,6 @@ checkLogStructured(const LogStructuredLayer &layer,
                   layer.writeFrontier(), layer.zoneCrossings());
     checkPlacementBounds(out, collectEntries(layer.extentMap()),
                          layer.logStart(), layer.writeFrontier());
-}
-
-void
-checkSharded(const ShardedTranslation &layer,
-             const JournalScan &scan, FsckReport &out)
-{
-    ExtentMap expected;
-    for (const JournalRecord &record : scan.records) {
-        if (record.kind != JournalRecordKind::Placement) {
-            report(out, "record-kind",
-                   "sharded journal holds a non-placement epoch " +
-                       std::to_string(record.epoch));
-            continue;
-        }
-        for (const JournalEntry &entry : record.entries)
-            expected.mapRange(entry.lba, entry.pba, entry.count);
-    }
-
-    // Stripe containment plus the union compare: entries must live
-    // inside their stripe, and the concatenated per-shard maps must
-    // equal the single-map replay once boundary splits coalesce.
-    std::vector<JournalEntry> actual;
-    for (std::size_t shard = 0; shard < layer.shardCount();
-         ++shard) {
-        const Lba stripe_start = shard * layer.shardWidth();
-        const Lba stripe_end = layer.shardEnd(shard);
-        layer.shardMap(shard).forEachEntry(
-            [&](Lba lba, Pba pba, SectorCount count) {
-                if (lba < stripe_start || lba + count > stripe_end)
-                    report(out, "shard-stripe",
-                           "shard " + std::to_string(shard) +
-                               " holds run " +
-                               formatEntry({lba, pba, count}) +
-                               " outside its stripe [" +
-                               std::to_string(stripe_start) +
-                               ", " +
-                               std::to_string(stripe_end) + ")");
-                actual.push_back({lba, pba, count});
-            });
-    }
-    compareEntries(out, "map-log-agreement",
-                   collectEntries(expected), std::move(actual));
-    checkFrontier(out, scan, layer.logStart(),
-                  layer.writeFrontier(), layer.zoneCrossings());
 }
 
 void
@@ -499,12 +453,8 @@ Fsck::check(const TranslationLayer &layer,
 {
     FsckReport out;
     const JournalScan scan = scanJournal(journal.image());
-    if (const auto *sharded =
-            dynamic_cast<const ShardedTranslation *>(&layer)) {
-        checkSharded(*sharded, scan, out);
-    } else if (const auto *log =
-                   dynamic_cast<const LogStructuredLayer *>(
-                       &layer)) {
+    if (const auto *log =
+            dynamic_cast<const LogStructuredLayer *>(&layer)) {
         checkLogStructured(*log, scan, out);
     } else if (const auto *finite = dynamic_cast<
                    const FiniteLogStructuredLayer *>(&layer)) {

@@ -7,10 +7,10 @@
  * story. Fsck::check replays the journal's consistent prefix into
  * reference structures and compares them against the live layer:
  * extent-map ↔ on-log agreement, write-pointer alignment with the
- * last recorded epoch, shard-stripe consistency, finite-log
- * forward/reverse bijection and liveness accounting, media-cache
- * pointer arithmetic. Violations are collected, never thrown — the
- * caller decides whether a dirty report is fatal.
+ * last recorded epoch, finite-log forward/reverse bijection and
+ * liveness accounting, media-cache pointer arithmetic. Violations
+ * are collected, never thrown — the caller decides whether a dirty
+ * report is fatal.
  */
 
 #ifndef LOGSEEK_STL_FSCK_H

@@ -41,8 +41,7 @@ struct ZoneConfig
 /**
  * The write-frontier arithmetic of a (possibly zoned) log: where
  * the next write lands, how much of the current zone is left, and
- * the guard skip when a zone fills. Shared by LogStructuredLayer
- * and ShardedTranslation so the two place writes byte-identically.
+ * the guard skip when a zone fills.
  */
 class LogFrontier
 {
@@ -101,13 +100,6 @@ class LogStructuredLayer : public TranslationLayer
     void placeWriteInto(const SectorExtent &extent,
                         SegmentBuffer &out) override;
 
-    void translateReadBatchInto(std::span<const SectorExtent> extents,
-                                SegmentBufferBatch &out)
-        const override;
-
-    void placeWriteBatchInto(std::span<const SectorExtent> extents,
-                             SegmentBufferBatch &out) override;
-
     std::size_t staticFragmentCount() const override;
 
     std::string name() const override { return "log-structured"; }
@@ -154,10 +146,6 @@ class LogStructuredLayer : public TranslationLayer
     }
 
   private:
-    /** Place one write at the frontier, appending the placed
-     *  segments to `out` without clearing it. */
-    void appendWrite(const SectorExtent &extent, SegmentBuffer &out);
-
     ExtentMap map_;
     Pba logStart_;
     LogFrontier frontier_;

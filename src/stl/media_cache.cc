@@ -57,44 +57,6 @@ MediaCacheLayer::placeWriteInto(const SectorExtent &extent,
     }
 }
 
-void
-MediaCacheLayer::translateReadBatchInto(
-    std::span<const SectorExtent> extents, SegmentBufferBatch &out)
-    const
-{
-    out.clear();
-    for (const SectorExtent &extent : extents) {
-        panicIf(extent.empty(), "MediaCacheLayer: empty read");
-        map_.translateAppend(extent, out.flat());
-        out.endRecord();
-    }
-}
-
-void
-MediaCacheLayer::placeWriteBatchInto(
-    std::span<const SectorExtent> extents, SegmentBufferBatch &out)
-{
-    out.clear();
-    for (const SectorExtent &extent : extents) {
-        panicIf(extent.empty(), "MediaCacheLayer: empty write");
-        panicIf(extent.end() > dataZoneEnd_,
-                "MediaCacheLayer: write beyond the data zones; "
-                "construct with a larger data-zone end");
-        const Pba placed = cachePtr_;
-        map_.mapRange(extent.start, placed, extent.count);
-        cachePtr_ += extent.count;
-        cacheUsed_ += extent.count;
-        out.flat().push(Segment{extent, placed, true});
-        out.endRecord();
-        if (journal_ != nullptr) {
-            const JournalEntry entry{extent.start, placed,
-                                     extent.count};
-            journal_->record(JournalRecordKind::Placement,
-                             cachePtr_, merges_, {&entry, 1});
-        }
-    }
-}
-
 std::size_t
 MediaCacheLayer::staticFragmentCount() const
 {

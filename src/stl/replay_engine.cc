@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <span>
 #include <utility>
 
 #include "stl/conventional.h"
@@ -13,7 +12,6 @@
 #include "stl/media_cache.h"
 #include "stl/prefetch.h"
 #include "stl/selective_cache.h"
-#include "stl/sharded_translation.h"
 #include "telemetry/trace_writer.h"
 #include "util/logging.h"
 
@@ -336,36 +334,10 @@ ReplayEngine::ReplayEngine(const SimConfig &config,
     result_.workload = input.name();
     result_.configLabel = config_.label();
 
-    panicIf(config_.replayBatchSize < 1 ||
-                config_.replayBatchSize > 65536,
-            "ReplayEngine: replayBatchSize out of [1, 65536]");
-    panicIf(config_.replayShards < 1 || config_.replayShards > 256,
-            "ReplayEngine: replayShards out of [1, 256]");
-    if (config_.replayShards > 1)
-        accounting_.enableDeferred(
-            static_cast<std::size_t>(config_.replayShards),
-            config_.shardExecutor);
-
     // Translation layer. Defragmentation needs a layer that can
     // relocate ranges to the frontier; both log variants can.
-    // Sharding swaps the log-structured layer for its LBA-striped
-    // twin (byte-identical placement and translation after the
-    // engine's contiguity merge); the other layers keep their
-    // single structure and shard accounting only.
     RelocateFn relocate;
-    if (config_.translation == TranslationKind::LogStructured &&
-        config_.replayShards > 1 && input.addressSpaceEnd() > 0) {
-        auto ls = std::make_unique<ShardedTranslation>(
-            input.addressSpaceEnd(),
-            static_cast<std::size_t>(config_.replayShards),
-            config_.zones);
-        relocate = [raw = ls.get()](const SectorExtent &extent,
-                                    SegmentBuffer &out) {
-            raw->relocateInto(extent, out);
-        };
-        layer_ = std::move(ls);
-    } else if (config_.translation ==
-               TranslationKind::LogStructured) {
+    if (config_.translation == TranslationKind::LogStructured) {
         auto ls = std::make_unique<LogStructuredLayer>(
             input.addressSpaceEnd(), config_.zones);
         relocate = [raw = ls.get()](const SectorExtent &extent,
@@ -470,10 +442,6 @@ ReplayEngine::ReplayEngine(const SimConfig &config,
         "replay_read_latency_ns");
     translateLatency_ = &telemetry::Registry::global().histogram(
         "replay_translate_latency_ns");
-    batchesTotal_ = &telemetry::Registry::global().counter(
-        "replay_batches_total");
-    batchSize_ = &telemetry::Registry::global().histogram(
-        "replay_batch_size");
 }
 
 ReplayEngine::~ReplayEngine() = default;
@@ -481,62 +449,43 @@ ReplayEngine::~ReplayEngine() = default;
 SimResult
 ReplayEngine::run()
 {
-    const auto batch_size =
-        static_cast<std::size_t>(config_.replayBatchSize);
-
-    // The batch's events are reused across batches: reset() keeps
-    // the segment/seek vectors' capacity, so the replay loop stops
-    // allocating once every slot has warmed up.
-    if (events_.size() < batch_size)
-        events_.resize(batch_size);
-
-    // Pull-based replay: the input hands over one batch at a time
-    // (an in-RAM copy, a zero-copy mmap span or a freshly
+    // Pull-based replay: the input hands over kPullSize records at a
+    // time (an in-RAM copy, a zero-copy mmap span or a freshly
     // synthesized chunk — the loop cannot tell), so memory use is
-    // bounded by one batch regardless of the workload's size.
+    // bounded by one pull regardless of the workload's size.
     input_->reset();
-    std::uint64_t base = 0;
+    std::uint64_t op = 0;
     for (;;) {
-        const std::size_t n = input_->next(batch_, batch_size);
+        const std::size_t n = input_->next(batch_, kPullSize);
         if (n == 0)
             break;
-        // Cooperative cancellation: polled at every batch boundary
-        // here and every kCancelCheckInterval records inside the
-        // serving loops, so an over-deadline replay unwinds within
-        // microseconds with all layer invariants intact.
+        // Cooperative cancellation: polled at every pull and every
+        // kCancelCheckInterval records, so an over-deadline replay
+        // unwinds within microseconds with all layer invariants
+        // intact.
         if (cancel_.cancelled())
             throwCancelled();
 
-        batchesTotal_->add();
-        batchSize_->record(n);
-
-        // The telemetry switch is sampled once per batch: the
+        // The telemetry switch is sampled once per pull: the
         // media-only fast path skips the pipeline (and with it the
         // per-stage counters), so it must stay off while telemetry
         // is on.
         const bool fast_media_only =
             mediaOnly_ && !telemetry::enabled();
 
-        std::size_t i = 0;
-        while (i < n) {
-            const std::size_t run_end = batch_.runEnd(i);
-            if (batch_.type(i) == trace::IoType::Read)
-                serveReadRun(base, i, run_end, fast_media_only);
+        for (std::size_t k = 0; k < n; ++k, ++op) {
+            if (op % kCancelCheckInterval == 0 && cancel_.cancelled())
+                throwCancelled();
+            event_.reset();
+            event_.opIndex = op;
+            event_.record = batch_.record(k);
+            if (event_.record.isRead())
+                serveRead(fast_media_only);
             else
-                serveWriteRun(base, i, run_end);
-            i = run_end;
-        }
-
-        // Sharded mode: resolve the deferred seek classification
-        // before the events are shown to observers or recycled.
-        if (accounting_.deferredEnabled())
-            accounting_.flushDeferred();
-
-        for (std::size_t k = 0; k < n; ++k)
+                serveWrite();
             for (auto *observer : observers_)
-                observer->onEvent(events_[k]);
-
-        base += n;
+                observer->onEvent(event_);
+        }
     }
 
     // Counters sampled once, after the loop: cleaningMerges only
@@ -599,200 +548,64 @@ ReplayEngine::emitStageSpans()
 }
 
 void
-ReplayEngine::translateRun(std::size_t begin, std::size_t end,
-                           bool sampled)
+ReplayEngine::serveRead(bool fast_media_only)
 {
-    const std::span<const SectorExtent> extents(
-        batch_.extentData() + begin, end - begin);
-    if (sampled && telemetry::enabled()) {
-        const auto start = std::chrono::steady_clock::now();
-        layer_->translateReadBatchInto(extents, readBatch_);
-        const auto ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        // Amortized: one equal sample per record keeps the
-        // histogram count equal to result.reads, the contract the
-        // telemetry tests pin.
-        const std::uint64_t per =
-            ns > 0 ? static_cast<std::uint64_t>(ns) /
-                         (end - begin)
-                   : 0;
-        for (std::size_t k = begin; k < end; ++k)
-            translateLatency_->record(per);
-    } else {
-        layer_->translateReadBatchInto(extents, readBatch_);
+    IoEvent &event = event_;
+    const telemetry::ScopedTimer timer(readLatency_);
+    accounting_.beginRead();
+    {
+        const telemetry::ScopedTimer translate(translateLatency_);
+        layer_->translateReadInto(event.record.extent,
+                                  segmentScratch_);
     }
-}
+    mergeAssign(segmentScratch_.begin(), segmentScratch_.end(),
+                event.segments);
+    accounting_.readFragmentation(event.segments.size());
+    const bool fragmented = event.segments.size() >= 2;
 
-void
-ReplayEngine::serveReadRun(std::uint64_t base, std::size_t begin,
-                           std::size_t end, bool fast_media_only)
-{
-    // Reads are translated lazily in adaptive mini-chunks, one
-    // batched virtual call per chunk. Small chunks keep the
-    // translated segments cache-hot when served (a whole-run
-    // translate of a 256-record batch evicts its own head before
-    // the serve pass reaches it) and bound the work a
-    // translation-mutating event (defrag rewrite, cleaning) can
-    // invalidate: the rest of the mutated chunk falls back to
-    // record-at-a-time translation and the next chunk — translated
-    // only after the mutation — resumes batching. The chunk size
-    // adapts to the mutation rate: a mutation collapses it to 1
-    // (defrag storms replay at scalar cost instead of paying for
-    // translations that are thrown away), and every clean chunk
-    // doubles it back up to kReadTranslateChunkMax. Re-batching
-    // the remainder instead would go quadratic when most reads
-    // mutate.
-    std::size_t chunk_begin = begin;
-    std::size_t chunk_end = begin; // nothing translated yet
-    bool batched = true;
-    bool translated_any = false;
-    bool chunk_mutated = false;
-    const auto grow_chunk = [this] {
-        readChunk_ =
-            std::min(readChunk_ * 2, kReadTranslateChunkMax);
-    };
-
-    for (std::size_t k = begin; k < end; ++k) {
-        const std::uint64_t op = base + k;
-        if (op % kCancelCheckInterval == 0 && cancel_.cancelled())
-            throwCancelled();
-
-        if (k == chunk_end) {
-            if (translated_any && !chunk_mutated)
-                grow_chunk();
-            chunk_begin = k;
-            chunk_end = std::min(k + readChunk_, end);
-            translateRun(chunk_begin, chunk_end, /*sampled=*/true);
-            batched = true;
-            translated_any = true;
-            chunk_mutated = false;
-        }
-
-        IoEvent &event = events_[k];
-        event.reset();
-        event.opIndex = op;
-        event.record = batch_.record(k);
-
-        const telemetry::ScopedTimer timer(readLatency_);
-        accounting_.beginRead();
-        if (batched) {
-            mergeAssign(readBatch_.recordBegin(k - chunk_begin),
-                        readBatch_.recordEnd(k - chunk_begin),
-                        event.segments);
-        } else {
-            layer_->translateReadInto(event.record.extent,
-                                      segmentScratch_);
-            mergeAssign(segmentScratch_.begin(),
-                        segmentScratch_.end(), event.segments);
-        }
-        accounting_.readFragmentation(event.segments.size());
-        const bool fragmented = event.segments.size() >= 2;
-
-        if (fast_media_only) {
-            // Pipeline == {media access} and telemetry is off: the
-            // serve pass reduces to one host access per fragment
-            // (no widening, no admissions, no completion hooks),
-            // so skip the stage machinery entirely.
-            for (const auto &segment : event.segments)
-                accounting_.hostAccess(event, segment.physical(),
-                                       trace::IoType::Read);
-        } else {
-            for (const auto &segment : event.segments)
-                pipeline_.serveFragment(
-                    ReadFragment{segment.physical(), fragmented,
-                                 segment.physical()},
-                    event);
-            pipeline_.completeRead(event.record, event);
-        }
-
-        bool mutated = event.defragRewrite;
-        if (layerHasMaintenance_)
-            mutated |= runMaintenance(event);
-        if (mutated) {
-            batched = false;
-            chunk_mutated = true;
-            readChunk_ = 1;
-        }
-    }
-    if (translated_any && !chunk_mutated)
-        grow_chunk();
-}
-
-void
-ReplayEngine::serveWriteRun(std::uint64_t base, std::size_t begin,
-                            std::size_t end)
-{
-    if (!layerHasMaintenance_) {
-        // Maintenance-free layers (conventional, log-structured):
-        // place the whole run with one batched virtual call.
-        // Placement order equals record order, so the per-record
-        // segments are exactly the scalar sequence's.
-        const std::span<const SectorExtent> extents(
-            batch_.extentData() + begin, end - begin);
-        layer_->placeWriteBatchInto(extents, writeBatch_);
-        for (std::size_t k = begin; k < end; ++k) {
-            const std::uint64_t op = base + k;
-            if (op % kCancelCheckInterval == 0 &&
-                cancel_.cancelled())
-                throwCancelled();
-
-            IoEvent &event = events_[k];
-            event.reset();
-            event.opIndex = op;
-            event.record = batch_.record(k);
-
-            accounting_.beginWrite(event.record.extent.bytes());
-            event.segments.assign(
-                writeBatch_.recordBegin(k - begin),
-                writeBatch_.recordEnd(k - begin));
-            for (const auto &segment : event.segments)
-                accounting_.hostAccess(event, segment.physical(),
-                                       trace::IoType::Write);
-        }
-        return;
-    }
-
-    // Layers that owe background work (finite log, media cache)
-    // must interleave maintenance record-by-record — batching their
-    // writes would let the log overrun its cleaning reserve.
-    for (std::size_t k = begin; k < end; ++k) {
-        const std::uint64_t op = base + k;
-        if (op % kCancelCheckInterval == 0 && cancel_.cancelled())
-            throwCancelled();
-
-        IoEvent &event = events_[k];
-        event.reset();
-        event.opIndex = op;
-        event.record = batch_.record(k);
-
-        accounting_.beginWrite(event.record.extent.bytes());
-        layer_->placeWriteInto(event.record.extent,
-                               segmentScratch_);
-        event.segments.assign(segmentScratch_.begin(),
-                              segmentScratch_.end());
+    if (fast_media_only) {
+        // Pipeline == {media access} and telemetry is off: the
+        // serve pass reduces to one host access per fragment (no
+        // widening, no admissions, no completion hooks), so skip
+        // the stage machinery entirely.
         for (const auto &segment : event.segments)
             accounting_.hostAccess(event, segment.physical(),
-                                   trace::IoType::Write);
-        runMaintenance(event);
+                                   trace::IoType::Read);
+    } else {
+        for (const auto &segment : event.segments)
+            pipeline_.serveFragment(
+                ReadFragment{segment.physical(), fragmented,
+                             segment.physical()},
+                event);
+        pipeline_.completeRead(event.record, event);
     }
+    runMaintenance();
 }
 
-bool
-ReplayEngine::runMaintenance(IoEvent &event)
+void
+ReplayEngine::serveWrite()
+{
+    IoEvent &event = event_;
+    accounting_.beginWrite(event.record.extent.bytes());
+    layer_->placeWriteInto(event.record.extent, segmentScratch_);
+    event.segments.assign(segmentScratch_.begin(),
+                          segmentScratch_.end());
+    for (const auto &segment : event.segments)
+        accounting_.hostAccess(event, segment.physical(),
+                               trace::IoType::Write);
+    runMaintenance();
+}
+
+void
+ReplayEngine::runMaintenance()
 {
     if (!layerHasMaintenance_)
-        return false;
+        return;
     // Background cleaning owed by the layer (media-cache merges,
     // log garbage collection), accounted separately from
     // host-visible seeks.
-    bool any = false;
-    for (const MediaAccess &access : layer_->maintenance()) {
-        any = true;
-        accounting_.cleaningAccess(event, access);
-    }
-    return any;
+    for (const MediaAccess &access : layer_->maintenance())
+        accounting_.cleaningAccess(event_, access);
 }
 
 } // namespace logseek::stl

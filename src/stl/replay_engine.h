@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-run trace-replay engine (batch-first).
+ * Per-run trace-replay engine.
  *
  * A ReplayEngine is built fresh for one (trace, config) run: it
  * instantiates the translation layer, assembles the read-path
@@ -9,25 +9,18 @@
  * Accounting sink. The Simulator facade constructs one engine per
  * run; tests and future backends can drive the engine directly.
  *
- * The engine replays the trace in columnar batches
- * (SimConfig::replayBatchSize records, default 256): each batch is
- * loaded into an IoEventBatch, split into same-type runs, and each
- * run is translated in small mini-chunks, one batched virtual call
- * per chunk (write runs of maintenance-free layers are placed with
- * a single call). Translation-mutating events inside a read run (a
- * defrag rewrite, cleaning) invalidate the pre-translated rest of
- * the current chunk, which falls back to record-at-a-time
- * translation; the next chunk resumes batching — so batching is an
- * execution strategy only: the SimResult is byte-identical to
- * record-at-a-time replay. With SimConfig::replayShards > 1 the
- * Accounting sink additionally defers seek classification and
- * resolves it per batch in shard-parallel chunks (see
- * docs/parallel_replay.md), again byte-identically.
+ * Records are pulled from the input kPullSize at a time into a
+ * columnar IoEventBatch (an mmap'd LSKC file fills it zero-copy)
+ * and served one by one in trace order: a read through one
+ * translateReadInto call and the read pipeline, a write through one
+ * placeWriteInto call, each followed by any cleaning the layer owes.
+ * Observers see a record's IoEvent as soon as it has been served.
  */
 
 #ifndef LOGSEEK_STL_REPLAY_ENGINE_H
 #define LOGSEEK_STL_REPLAY_ENGINE_H
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -38,6 +31,7 @@
 #include "stl/simulator.h"
 #include "stl/translation_layer.h"
 #include "trace/input.h"
+#include "trace/io_batch.h"
 #include "trace/trace.h"
 #include "util/cancellation.h"
 
@@ -65,11 +59,11 @@ class ReplayEngine
      *        the SimResult is byte-identical for identical record
      *        streams.
      * @param observers Observers notified once per logical request,
-     *        in trace order (delivered at the end of the request's
-     *        batch, once the event is fully resolved); not owned.
+     *        in trace order, as soon as the request has been served;
+     *        not owned.
      * @param cancel Cooperative cancellation token, polled at every
-     *        batch boundary and every kCancelCheckInterval records
-     *        inside the serving loops; default never fires.
+     *        pull and every kCancelCheckInterval records; default
+     *        never fires.
      */
     ReplayEngine(const SimConfig &config, trace::TraceInput &input,
                  const std::vector<SimObserver *> &observers,
@@ -96,6 +90,9 @@ class ReplayEngine
     /** Records between cancellation checks in run(). */
     static constexpr std::uint64_t kCancelCheckInterval = 64;
 
+    /** Records pulled from the input per TraceInput::next call. */
+    static constexpr std::size_t kPullSize = 256;
+
     /** The assembled read path (introspection for tests). */
     const ReadPipeline &readPipeline() const { return pipeline_; }
 
@@ -108,36 +105,21 @@ class ReplayEngine
                  CancelToken cancel);
 
     /**
-     * Serve batch records [begin, end) — one same-type read run.
-     * `base` is the trace-wide index of batch record 0.
-     * `fast_media_only` short-circuits the pipeline when it is
-     * exactly the media-access stage and telemetry is off.
+     * Serve event_'s read. `fast_media_only` short-circuits the
+     * pipeline when it is exactly the media-access stage and
+     * telemetry is off.
      */
-    void serveReadRun(std::uint64_t base, std::size_t begin,
-                      std::size_t end, bool fast_media_only);
+    void serveRead(bool fast_media_only);
 
-    /** Serve batch records [begin, end) — one write run. */
-    void serveWriteRun(std::uint64_t base, std::size_t begin,
-                       std::size_t end);
+    /** Serve event_'s write. */
+    void serveWrite();
 
     /**
-     * Batch-translate read extents [begin, end) of the current
-     * batch into readBatch_ (serveReadRun calls this one
-     * mini-chunk at a time). When `sampled`, the elapsed time is
-     * recorded amortized — one equal sample per record — so the
-     * translate-latency count stays equal to result.reads. The
-     * scalar fallback after a mid-chunk mutation records no extra
-     * samples for the same reason.
+     * Play the layer's owed background cleaning accesses, charged
+     * to event_. Skipped entirely for layers with hasMaintenance()
+     * == false.
      */
-    void translateRun(std::size_t begin, std::size_t end,
-                      bool sampled);
-
-    /**
-     * Play the layer's owed background cleaning accesses; returns
-     * true when any were owed (i.e. translation state changed).
-     * Skipped entirely for layers with hasMaintenance() == false.
-     */
-    bool runMaintenance(IoEvent &event);
+    void runMaintenance();
 
     /** Throw the cancellation status for this replay. */
     [[noreturn]] void throwCancelled();
@@ -177,36 +159,18 @@ class ReplayEngine
      *  keeps capacity, so steady-state requests do not allocate. */
     SegmentBuffer segmentScratch_;
 
-    /** Columnar view of the batch currently being replayed. */
-    IoEventBatch batch_;
+    /** Columnar view of the records of the current pull. */
+    trace::IoEventBatch batch_;
 
-    /** Batched translation results (reads / writes), reused. */
-    SegmentBufferBatch readBatch_;
-    SegmentBufferBatch writeBatch_;
-
-    /** One event per batch record, reused across batches; sized to
-     *  replayBatchSize on the first batch. */
-    std::vector<IoEvent> events_;
-
-    /** Upper bound of the adaptive read-translate chunk. */
-    static constexpr std::size_t kReadTranslateChunkMax = 32;
-
-    /** Current read-translate mini-chunk size in records; halves
-     *  to 1 when a chunk is invalidated by a translation-mutating
-     *  event and doubles back on every clean chunk (see
-     *  serveReadRun). Persists across batches within the run so a
-     *  defrag storm keeps replaying at scalar cost. */
-    std::size_t readChunk_ = kReadTranslateChunkMax;
+    /** The request being served, reused across requests: reset()
+     *  keeps its vectors' capacity. */
+    IoEvent event_;
 
     /** layer_->hasMaintenance(), sampled once at construction. */
     bool layerHasMaintenance_ = false;
 
     /** True when the pipeline is exactly the media-access stage. */
     bool mediaOnly_ = false;
-
-    /** Batching telemetry (self-gated on the global switch). */
-    telemetry::Counter *batchesTotal_ = nullptr;
-    telemetry::LatencyHistogram *batchSize_ = nullptr;
 
     /** Samples the layer's merge/cleaning counter; may be empty. */
     std::function<std::uint64_t()> cleaningMerges_;

@@ -133,15 +133,6 @@ Simulator::tryRun(const trace::Trace &trace, CancelToken cancel)
 StatusOr<SimResult>
 Simulator::tryRun(trace::TraceInput &input, CancelToken cancel)
 {
-    if (config_.replayShards < 1 || config_.replayShards > 256)
-        return invalidArgumentError(
-            "replayShards must be in [1, 256]; got " +
-            std::to_string(config_.replayShards));
-    if (config_.replayBatchSize < 1 ||
-        config_.replayBatchSize > 65536)
-        return invalidArgumentError(
-            "replayBatchSize must be in [1, 65536]; got " +
-            std::to_string(config_.replayBatchSize));
     Status valid = validateInput(input);
     if (!valid.ok())
         return valid;
@@ -177,9 +168,6 @@ runWithBaseline(const trace::Trace &trace, const SimConfig &ls_config,
     SimConfig baseline_config;
     baseline_config.translation = TranslationKind::Conventional;
     baseline_config.seekTime = ls_config.seekTime;
-    baseline_config.replayShards = ls_config.replayShards;
-    baseline_config.replayBatchSize = ls_config.replayBatchSize;
-    baseline_config.shardExecutor = ls_config.shardExecutor;
 
     Simulator baseline(baseline_config);
     Simulator log_structured(ls_config);

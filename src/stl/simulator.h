@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -39,18 +38,6 @@
 
 namespace logseek::stl
 {
-
-/**
- * Fan-out primitive for intra-replay sharding: invoke `fn(k)` for
- * every k in [0, n), possibly on worker threads, and return only
- * once all n calls have finished. An empty executor means "run
- * inline on the calling thread". Defined here (not in sweep/) so
- * the replay core stays free of thread-pool dependencies; see
- * sweep::makeShardExecutor for the TaskPool-backed implementation.
- */
-using ShardExecutor =
-    std::function<void(std::size_t,
-                       const std::function<void(std::size_t)> &)>;
 
 /** Which translation layer the simulator instantiates. */
 enum class TranslationKind
@@ -107,25 +94,6 @@ struct SimConfig
     std::optional<disk::ZonedDeviceOptions> zonedDevice;
 
     /**
-     * Number of shards for intra-replay parallel seek
-     * classification (see docs/parallel_replay.md). Sharding is an
-     * execution strategy, not a modeling choice: the SimResult is
-     * byte-identical at every shard count, so this deliberately
-     * does not appear in label(). Must be in [1, 256].
-     */
-    int replayShards = 1;
-
-    /** Records per columnar replay batch; must be in [1, 65536]. */
-    int replayBatchSize = 256;
-
-    /**
-     * Executor shard classification fans out through when
-     * replayShards > 1. Empty (the default) runs shards inline on
-     * the calling thread — still byte-identical, just serial.
-     */
-    ShardExecutor shardExecutor;
-
-    /**
      * Durable translation-metadata journal; off (null) by default.
      * When set, the translation layer records every state mutation
      * as one epoch frame into this caller-owned journal, which
@@ -140,7 +108,7 @@ struct SimConfig
     /**
      * Run the Fsck invariant verifier after the replay (requires
      * `journal`): extent-map ↔ journal agreement, write-pointer
-     * alignment, shard-stripe consistency. Any violation is fatal
+     * alignment, finite-log liveness. Any violation is fatal
      * — this is the --paranoid belt-and-suspenders mode, off by
      * default. Does not affect results or label().
      */
@@ -218,8 +186,8 @@ struct IoEvent
         deviceFailedSectors = 0;
     }
 
-    /** Exact comparison, used by the sharded/serial differential
-     *  tests; seeks compare bit-wise including distances. */
+    /** Exact comparison; seeks compare bit-wise including
+     *  distances. */
     bool operator==(const IoEvent &) const = default;
 
     /** Dynamic fragmentation of a read (1 for writes). */
@@ -300,9 +268,9 @@ struct SimResult
     std::uint64_t gcVictimSpanBytes = 0;
 
     /**
-     * Exact (bit-wise, including seekTimeSec) comparison. The
-     * sharded replay core is contractually byte-identical to the
-     * serial one, so tests compare results with == rather than
+     * Exact (bit-wise, including seekTimeSec) comparison. Replays of
+     * identical record streams are byte-identical whatever the
+     * input's storage, so tests compare results with == rather than
      * field-by-field tolerances.
      */
     bool operator==(const SimResult &) const = default;
@@ -379,8 +347,8 @@ class Simulator
      * converting any escaped FatalError into InvalidArgument and
      * any PanicError into Internal so one bad trace cannot take
      * down a batch sweep. A fired cancellation token surfaces as
-     * Cancelled or DeadlineExceeded; the replay unwinds at the next
-     * per-batch check and no partial result is returned.
+     * Cancelled or DeadlineExceeded; the replay unwinds at its next
+     * cancellation check and no partial result is returned.
      */
     StatusOr<SimResult> tryRun(const trace::Trace &trace,
                                CancelToken cancel = {});

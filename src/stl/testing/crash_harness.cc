@@ -6,7 +6,6 @@
 
 #include "stl/conventional.h"
 #include "stl/fsck.h"
-#include "stl/sharded_translation.h"
 #include "stl/testing/reference_extent_map.h"
 #include "util/status.h"
 
@@ -70,12 +69,6 @@ kindName(TranslationKind kind)
 std::unique_ptr<TranslationLayer>
 freshLayer(const SimConfig &config, Lba address_space_end)
 {
-    if (config.translation == TranslationKind::LogStructured &&
-        config.replayShards > 1 && address_space_end > 0)
-        return std::make_unique<ShardedTranslation>(
-            address_space_end,
-            static_cast<std::size_t>(config.replayShards),
-            config.zones);
     if (config.translation == TranslationKind::LogStructured)
         return std::make_unique<LogStructuredLayer>(
             address_space_end, config.zones);
@@ -123,9 +116,8 @@ describeSegment(const Segment &segment)
 
 /**
  * Compare the mounted layer's translation of the whole logical
- * space against the oracle's, after the engine's contiguity merge
- * (the sharded layer legitimately splits runs at stripe
- * boundaries). Empty string on agreement.
+ * space against the oracle's, after the engine's contiguity merge.
+ * Empty string on agreement.
  */
 std::string
 compareAgainstOracle(const TranslationLayer &layer,
@@ -274,8 +266,6 @@ CrashCase::label() const
         out << "+s" << streams;
     if (zones)
         out << "+zones";
-    if (shards > 1)
-        out << "+sh" << shards;
     if (zonedDevice)
         out << "+dev";
     out << "/" << crashEvery;
@@ -314,7 +304,6 @@ crashCaseConfig(const CrashCase &c)
 {
     SimConfig config;
     config.translation = c.kind;
-    config.replayShards = c.shards;
     if (c.zones)
         // Small zones so a few hundred ops cross several
         // boundaries and the restored crossing count matters.

@@ -4,8 +4,8 @@
  * test suite and the crash_recovery_bench smoke binary.
  *
  * One CrashCase describes a cell of the crash matrix: a translation
- * layer (optionally zoned / sharded), optionally mounted on a
- * ZonedDevice. runCrashMatrix replays a deterministic trace with a
+ * layer (optionally zoned), optionally mounted on a ZonedDevice.
+ * runCrashMatrix replays a deterministic trace with a
  * SegmentJournal attached, then crashes it at every Nth operation
  * (device power loss when the ZonedDevice leg is on, a journal
  * torn-tail otherwise), remounts a fresh layer from the surviving
@@ -43,11 +43,8 @@ struct CrashCase
 {
     TranslationKind kind = TranslationKind::LogStructured;
 
-    /** Guarded zone structure on the log frontier (LS/sharded). */
+    /** Guarded zone structure on the log frontier (LS only). */
     bool zones = false;
-
-    /** Replay shard count; > 1 swaps LS for ShardedTranslation. */
-    int shards = 1;
 
     /** Mount the replay on a ZonedDevice and crash it with a
      *  CrashSchedule instead of tearing the journal offline. */
@@ -95,7 +92,7 @@ struct CrashMatrixResult
     /** FNV-1a digest over every torn journal image and mount
      *  tally, in crash-point order. Equal seeds must produce equal
      *  digests — the determinism probe the tests compare across
-     *  repeat runs and shard counts. */
+     *  repeat runs. */
     std::uint64_t stateDigest = 0;
 
     /** First verification failure; empty when every crash point

@@ -32,38 +32,6 @@ TranslationLayer::mountFromJournal(const SegmentJournal &journal)
     return stats;
 }
 
-void
-TranslationLayer::translateReadBatchInto(
-    std::span<const SectorExtent> extents, SegmentBufferBatch &out)
-    const
-{
-    // Documented fallback: the scalar call per record, copied into
-    // the flat batch. Concrete layers override this with a native
-    // append that skips the per-record virtual dispatch and copy.
-    out.clear();
-    SegmentBuffer scratch;
-    for (const SectorExtent &extent : extents) {
-        translateReadInto(extent, scratch);
-        for (const Segment &segment : scratch)
-            out.flat().push(segment);
-        out.endRecord();
-    }
-}
-
-void
-TranslationLayer::placeWriteBatchInto(
-    std::span<const SectorExtent> extents, SegmentBufferBatch &out)
-{
-    out.clear();
-    SegmentBuffer scratch;
-    for (const SectorExtent &extent : extents) {
-        placeWriteInto(extent, scratch);
-        for (const Segment &segment : scratch)
-            out.flat().push(segment);
-        out.endRecord();
-    }
-}
-
 std::vector<Segment>
 TranslationLayer::translateRead(const SectorExtent &extent) const
 {

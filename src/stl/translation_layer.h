@@ -13,12 +13,10 @@
 #ifndef LOGSEEK_STL_TRANSLATION_LAYER_H
 #define LOGSEEK_STL_TRANSLATION_LAYER_H
 
-#include <span>
 #include <string>
 #include <vector>
 
 #include "stl/extent_map.h"
-#include "stl/io_batch.h"
 #include "stl/segment_journal.h"
 #include "trace/record.h"
 #include "util/extent.h"
@@ -63,33 +61,7 @@ class TranslationLayer
                                 SegmentBuffer &out) = 0;
 
     /**
-     * Batched read translation: resolve every extent of a record
-     * run in one virtual call, appending each record's segments to
-     * `out` (cleared first) in record order. Semantically exactly a
-     * loop over translateReadInto — the scalar call is the
-     * documented fallback, and the base implementation is that loop
-     * — but the four concrete layers override it natively so a
-     * batch costs one virtual dispatch instead of one per record.
-     * Does not change translation state.
-     */
-    virtual void
-    translateReadBatchInto(std::span<const SectorExtent> extents,
-                           SegmentBufferBatch &out) const;
-
-    /**
-     * Batched write placement: place every extent of a write run in
-     * order, appending each record's placed segments to `out`
-     * (cleared first). Semantically a loop over placeWriteInto with
-     * no maintenance() interleaved — callers that owe per-record
-     * maintenance (see hasMaintenance()) must use the scalar call.
-     */
-    virtual void
-    placeWriteBatchInto(std::span<const SectorExtent> extents,
-                        SegmentBufferBatch &out);
-
-    /**
-     * True when the layer owes background work via maintenance()
-     * and must therefore be driven record-at-a-time for writes.
+     * True when the layer owes background work via maintenance().
      * Layers returning false guarantee maintenance() is empty, so
      * the replay engine can skip the call entirely.
      */

@@ -113,11 +113,6 @@ BenchCli::sweepOptions(ObserverFactory extra) const
     options.retry.maxAttempts = retries + 1;
     options.checkpointPath = checkpointPath;
     options.resumePath = resumePath;
-    // --replay-shards 1 (the default) leaves each config's own
-    // shard count alone; only an explicit parallel request
-    // overrides the grid.
-    options.replayShards = replayShards > 1 ? replayShards : 0;
-    options.replayBatchSize = replayBatch;
 
     // --convert-out exports the first workload's trace once it is
     // loaded, in the --trace-format (or extension-implied) format.
@@ -194,7 +189,6 @@ benchUsage(const std::string &name)
            "[--max-open-zones N] [--error-log-cap N] "
            "[--log-capacity N] [--segment-bytes N] "
            "[--clean-reserve N] "
-           "[--replay-shards N] [--replay-batch N] "
            "[--trace-format F] [--convert-out file] [--help]";
 }
 
@@ -248,12 +242,6 @@ benchHelp(const std::string &name)
         "in bytes [64 KiB, 1 GiB]\n"
         "  --clean-reserve N    finite-log cleaning reserve "
         "override in segments [1, 1024]\n"
-        "  --replay-shards N    parallel seek-classification "
-        "shards per replay [1, 256]\n"
-        "                       (1 = serial; results are "
-        "byte-identical)\n"
-        "  --replay-batch N     replay batch size in records "
-        "[1, 65536] (default 256)\n"
         "  --trace-format F     format of trace files read or "
         "converted:\n"
         "                       auto, csv, lskt or lskc "
@@ -276,8 +264,7 @@ benchFlagNames()
             "--fault-rate",    "--bad-sector-seed",
             "--max-open-zones", "--error-log-cap",
             "--log-capacity",  "--segment-bytes",
-            "--clean-reserve", "--replay-shards",
-            "--replay-batch",  "--trace-format",
+            "--clean-reserve", "--trace-format",
             "--convert-out",   "--help"};
 }
 
@@ -496,32 +483,6 @@ tryParseBenchCli(int argc, char **argv, double default_scale)
                     *value);
             cli.cleanReserve =
                 static_cast<std::uint32_t>(reserve.value());
-        } else if (matches("--replay-shards")) {
-            if (!value)
-                return invalidArgumentError(
-                    "--replay-shards requires a value");
-            StatusOr<long long> shards =
-                parseIntArg("--replay-shards", *value);
-            if (!shards.ok())
-                return shards.status();
-            if (shards.value() < 1 || shards.value() > 256)
-                return invalidArgumentError(
-                    "--replay-shards must be in [1, 256]: got " +
-                    *value);
-            cli.replayShards = static_cast<int>(shards.value());
-        } else if (matches("--replay-batch")) {
-            if (!value)
-                return invalidArgumentError(
-                    "--replay-batch requires a value");
-            StatusOr<long long> batch =
-                parseIntArg("--replay-batch", *value);
-            if (!batch.ok())
-                return batch.status();
-            if (batch.value() < 1 || batch.value() > 65536)
-                return invalidArgumentError(
-                    "--replay-batch must be in [1, 65536]: got " +
-                    *value);
-            cli.replayBatch = static_cast<int>(batch.value());
         } else if (matches("--trace-format")) {
             if (!value)
                 return invalidArgumentError(

@@ -9,8 +9,7 @@
  *           [--retries N] [--checkpoint path] [--resume path]
  *           [--metrics-out file] [--trace-out file]
  *           [--fault-rate R] [--bad-sector-seed N]
- *           [--max-open-zones N] [--error-log-cap N]
- *           [--replay-shards N] [--replay-batch N] [--help]
+ *           [--max-open-zones N] [--error-log-cap N] [--help]
  *
  * scale/seed feed the synthetic workload profiles; --jobs sets the
  * sweep worker count ("auto" = hardware concurrency; 0 and negative
@@ -25,12 +24,8 @@
  * subsystem (off, and costing nothing, by default): --metrics-out
  * writes a metrics snapshot after the sweep (.prom/.txt selects
  * Prometheus text, anything else JSON) and --trace-out writes a
- * Chrome trace_event JSON file of the sweep's spans.
- * --replay-shards runs each replay's seek classification in N
- * parallel shards on a dedicated pool (byte-identical to serial;
- * docs/parallel_replay.md) and --replay-batch overrides the
- * engine's columnar batch size. All numeric arguments are
- * validated strictly — a malformed value is a typed
+ * Chrome trace_event JSON file of the sweep's spans. All numeric
+ * arguments are validated strictly — a malformed value is a typed
  * InvalidArgument error, never a silent default.
  */
 
@@ -121,15 +116,6 @@ struct BenchCli
      *  clean target follows at reserve + 2 unless the bench sets
      *  its own. */
     std::uint32_t cleanReserve = 0;
-
-    /** Intra-replay shard count (--replay-shards, in [1, 256]);
-     *  1 = serial replay, > 1 shards every cell's seek
-     *  classification over a dedicated pool. */
-    int replayShards = 1;
-
-    /** Replay batch size override in records (--replay-batch, in
-     *  [1, 65536]); 0 = the engine default. */
-    int replayBatch = 0;
 
     /** Declared format of trace files a bench reads or converts
      *  (--trace-format {auto, csv, lskt, lskc}); Auto (the

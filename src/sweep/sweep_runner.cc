@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "sweep/checkpoint.h"
@@ -216,24 +215,6 @@ SweepRunner::run()
     const int jobs = options_.jobs < 1 ? 1 : options_.jobs;
     const int max_attempts = std::max(1, options_.retry.maxAttempts);
     {
-        // Dedicated pool for intra-replay shard chunks. A cell
-        // worker fans its batch's seek classification out here and
-        // runs chunk 0 itself; giving shards their own pool means a
-        // replay never waits on the cell pool's queue, which could
-        // deadlock once every cell worker blocked simultaneously.
-        // Declared before the cell pool so it is destroyed after it.
-        std::unique_ptr<TaskPool> shard_pool;
-        stl::ShardExecutor shard_executor;
-        if (options_.replayShards > 1) {
-            const unsigned hw = std::max(
-                1u, std::thread::hardware_concurrency());
-            shard_pool = std::make_unique<TaskPool>(
-                std::min<unsigned>(static_cast<unsigned>(
-                                       options_.replayShards - 1),
-                                   hw));
-            shard_executor = makeShardExecutor(*shard_pool);
-        }
-
         TaskPool pool(static_cast<unsigned>(jobs));
 
         auto finish_cell = [this, &writer, &checkpoint_warned,
@@ -255,7 +236,7 @@ SweepRunner::run()
                 options_.onCellComplete(row);
         };
 
-        auto run_cell = [this, &out, &pool, &shard_executor,
+        auto run_cell = [this, &out, &pool,
                          finish_cell, config_count, max_attempts](
                             std::size_t w, std::size_t c,
                             std::shared_ptr<const trace::TraceSource>
@@ -307,15 +288,6 @@ SweepRunner::run()
                         }
                         config = configs_[c].make(*memory);
                     }
-                    if (options_.replayShards > 0)
-                        config.replayShards =
-                            options_.replayShards;
-                    if (options_.replayBatchSize > 0)
-                        config.replayBatchSize =
-                            options_.replayBatchSize;
-                    if (config.replayShards > 1 &&
-                        !config.shardExecutor && shard_executor)
-                        config.shardExecutor = shard_executor;
                     stl::Simulator simulator(config);
                     // Fresh observers every attempt: a replay that
                     // died mid-trace left them half-updated.
@@ -329,7 +301,7 @@ SweepRunner::run()
                     // Per-cell deadline: a watchdog fires this
                     // cell's CancelSource (linked under the sweep-
                     // wide token), and the replay unwinds at its
-                    // next per-batch check.
+                    // next cancellation check.
                     CancelSource cell_cancel(options_.cancel);
                     std::optional<TaskPool::WatchId> watch;
                     if (options_.cellDeadline.count() > 0)

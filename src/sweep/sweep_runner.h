@@ -348,20 +348,6 @@ struct SweepOptions
      */
     std::function<void(const RunRow &row)> onCellComplete;
 
-    /**
-     * Override SimConfig::replayShards on every cell; 0 (the
-     * default) leaves each config's own value. With a value > 1
-     * the runner owns a dedicated shard pool — separate from the
-     * cell pool, so a replay never waits on its own pool's queue —
-     * and installs a ShardExecutor on each cell's config (unless
-     * the config brought its own). Sharded replay is byte-
-     * identical to serial; see docs/parallel_replay.md.
-     */
-    int replayShards = 0;
-
-    /** Override SimConfig::replayBatchSize on every cell; 0 (the
-     *  default) leaves each config's own value. */
-    int replayBatchSize = 0;
 };
 
 struct CellRecord; // sweep/checkpoint.h

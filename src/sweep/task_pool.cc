@@ -261,64 +261,4 @@ TaskPool::watchdogLoop()
     }
 }
 
-stl::ShardExecutor
-makeShardExecutor(TaskPool &pool)
-{
-    return [&pool](std::size_t chunks,
-                   const std::function<void(std::size_t)> &fn) {
-        if (chunks == 0)
-            return;
-        if (chunks == 1) {
-            fn(0);
-            return;
-        }
-
-        // Stack latch: the executor waits for every submitted
-        // chunk before returning, so the tasks' references to it
-        // (and to fn) cannot dangle.
-        struct Latch
-        {
-            std::mutex mutex;
-            std::condition_variable cv;
-            std::size_t remaining;
-            std::exception_ptr error;
-        } latch;
-        latch.remaining = chunks - 1;
-
-        for (std::size_t k = 1; k < chunks; ++k) {
-            pool.submit([&latch, &fn, k] {
-                std::exception_ptr error;
-                try {
-                    fn(k);
-                } catch (...) {
-                    error = std::current_exception();
-                }
-                std::lock_guard<std::mutex> lock(latch.mutex);
-                if (error && !latch.error)
-                    latch.error = error;
-                if (--latch.remaining == 0)
-                    latch.cv.notify_all();
-            });
-        }
-
-        // The caller is chunk 0's worker. If it throws, still wait
-        // for the others — they hold references into this frame.
-        std::exception_ptr own;
-        try {
-            fn(0);
-        } catch (...) {
-            own = std::current_exception();
-        }
-        {
-            std::unique_lock<std::mutex> lock(latch.mutex);
-            latch.cv.wait(lock,
-                          [&] { return latch.remaining == 0; });
-            if (!own)
-                own = latch.error;
-        }
-        if (own)
-            std::rethrow_exception(own);
-    };
-}
-
 } // namespace logseek::sweep

@@ -26,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "stl/simulator.h"
 #include "telemetry/metrics.h"
 
 namespace logseek::sweep
@@ -157,24 +156,6 @@ class TaskPool
 
 /** The thread-local index of the current pool worker, if any. */
 int currentPoolWorker();
-
-/**
- * A stl::ShardExecutor that fans shard chunks out over `pool`:
- * chunks 1..n-1 are submitted as pool tasks while the calling
- * thread runs chunk 0, then blocks until every chunk finished. An
- * exception from any chunk is rethrown on the caller (the first
- * one, by completion order) — never swallowed by the pool's own
- * containment, because the executor catches it before it escapes
- * the task.
- *
- * The executor only borrows `pool`; the pool must outlive every
- * replay the executor is installed on. It is safe to call from a
- * worker of a *different* pool (the sweep runner gives replays a
- * dedicated shard pool so a sweep worker never waits on its own
- * pool's queue), and safe to call concurrently from several
- * threads.
- */
-stl::ShardExecutor makeShardExecutor(TaskPool &pool);
 
 } // namespace logseek::sweep
 

@@ -4,7 +4,7 @@
  * an mmap'd LSKC file or a streaming generator must produce the
  * bit-identical SimResult (operator==, including the seekTimeSec
  * bit pattern) as the in-RAM path — across sweep --jobs {1, 2},
- * --replay-shards {1, 4}, and a checkpoint/resume cycle. Also pins
+ * two translation layers, and a checkpoint/resume cycle. Also pins
  * the source-lifecycle contract: the sweep drops its TraceSource
  * references once the last dependent cell completes.
  *
@@ -55,29 +55,43 @@ tempPath(const std::string &tag)
 }
 
 stl::SimConfig
-shardedConfig(int shards)
+layerConfig(stl::TranslationKind kind)
 {
     stl::SimConfig config;
-    config.replayShards = shards;
+    config.translation = kind;
     return config;
 }
 
-/** Direct in-RAM replay under the given shard count. */
-stl::SimResult
-ramResult(const trace::Trace &trace, int shards)
+constexpr stl::TranslationKind kLs = stl::TranslationKind::LogStructured;
+constexpr stl::TranslationKind kNoLs =
+    stl::TranslationKind::Conventional;
+
+/** The two cells of every sweep below: LS and the NoLS baseline. */
+std::vector<ConfigSpec>
+layerConfigs()
 {
-    stl::Simulator simulator(shardedConfig(shards));
+    std::vector<ConfigSpec> configs;
+    configs.push_back(ConfigSpec::fixed("LS", layerConfig(kLs)));
+    configs.push_back(ConfigSpec::fixed("NoLS", layerConfig(kNoLs)));
+    return configs;
+}
+
+/** Direct in-RAM replay under the given layer. */
+stl::SimResult
+ramResult(const trace::Trace &trace, stl::TranslationKind kind)
+{
+    stl::Simulator simulator(layerConfig(kind));
     return simulator.run(trace);
 }
 
-TEST(IngestReplay, LskcSweepMatchesRamAcrossJobsAndShards)
+TEST(IngestReplay, LskcSweepMatchesRamAcrossJobs)
 {
     const trace::Trace trace = randomTrace(21, 3000);
     const std::string path = tempPath("grid") + ".lskc";
     ASSERT_TRUE(trace::tryWriteLskcFile(path, trace).ok());
 
-    const stl::SimResult ram1 = ramResult(trace, 1);
-    const stl::SimResult ram4 = ramResult(trace, 4);
+    const stl::SimResult ram_ls = ramResult(trace, kLs);
+    const stl::SimResult ram_nols = ramResult(trace, kNoLs);
 
     for (const int jobs : {1, 2}) {
         std::vector<WorkloadSpec> workloads;
@@ -88,15 +102,9 @@ TEST(IngestReplay, LskcSweepMatchesRamAcrossJobsAndShards)
                     << source.status().message();
                 return source.value();
             }));
-        std::vector<ConfigSpec> configs;
-        configs.push_back(
-            ConfigSpec::fixed("shards1", shardedConfig(1)));
-        configs.push_back(
-            ConfigSpec::fixed("shards4", shardedConfig(4)));
-
         SweepOptions options;
         options.jobs = jobs;
-        SweepRunner runner(workloads, configs, options);
+        SweepRunner runner(workloads, layerConfigs(), options);
         const SweepResult result = runner.run();
 
         ASSERT_EQ(result.rows.size(), 2u) << "jobs " << jobs;
@@ -104,9 +112,9 @@ TEST(IngestReplay, LskcSweepMatchesRamAcrossJobsAndShards)
             << result.row(0, 0).status.message();
         ASSERT_TRUE(result.row(0, 1).status.ok());
         // Byte identity against the in-RAM path at every cell.
-        EXPECT_TRUE(result.row(0, 0).result == ram1)
+        EXPECT_TRUE(result.row(0, 0).result == ram_ls)
             << "jobs " << jobs;
-        EXPECT_TRUE(result.row(0, 1).result == ram4)
+        EXPECT_TRUE(result.row(0, 1).result == ram_nols)
             << "jobs " << jobs;
         EXPECT_EQ(result.row(0, 0).ops, trace.size());
     }
@@ -128,9 +136,7 @@ TEST(IngestReplay, CheckpointResumeRestoresLskcCellsByteIdentically)
             }));
         return workloads;
     };
-    std::vector<ConfigSpec> configs;
-    configs.push_back(ConfigSpec::fixed("shards1", shardedConfig(1)));
-    configs.push_back(ConfigSpec::fixed("shards4", shardedConfig(4)));
+    const std::vector<ConfigSpec> configs = layerConfigs();
 
     SweepOptions first_options;
     first_options.jobs = 2;
@@ -161,15 +167,15 @@ TEST(IngestReplay, CheckpointResumeRestoresLskcCellsByteIdentically)
     std::remove(checkpoint.c_str());
 }
 
-TEST(IngestReplay, StreamedSweepMatchesRamAcrossJobsAndShards)
+TEST(IngestReplay, StreamedSweepMatchesRamAcrossJobs)
 {
     const workloads::StreamSpec spec =
         workloads::mixedStream("stream-mix", 3, 800, 31);
     workloads::WorkloadStream probe(spec);
     const trace::Trace materialized = trace::materialize(probe);
 
-    const stl::SimResult ram1 = ramResult(materialized, 1);
-    const stl::SimResult ram4 = ramResult(materialized, 4);
+    const stl::SimResult ram_ls = ramResult(materialized, kLs);
+    const stl::SimResult ram_nols = ramResult(materialized, kNoLs);
 
     for (const int jobs : {1, 2}) {
         std::vector<WorkloadSpec> workloads_list;
@@ -178,23 +184,17 @@ TEST(IngestReplay, StreamedSweepMatchesRamAcrossJobsAndShards)
                 return std::make_shared<
                     const workloads::StreamSource>(spec);
             }));
-        std::vector<ConfigSpec> configs;
-        configs.push_back(
-            ConfigSpec::fixed("shards1", shardedConfig(1)));
-        configs.push_back(
-            ConfigSpec::fixed("shards4", shardedConfig(4)));
-
         SweepOptions options;
         options.jobs = jobs;
-        SweepRunner runner(workloads_list, configs, options);
+        SweepRunner runner(workloads_list, layerConfigs(), options);
         const SweepResult result = runner.run();
 
         ASSERT_TRUE(result.row(0, 0).status.ok())
             << result.row(0, 0).status.message();
         ASSERT_TRUE(result.row(0, 1).status.ok());
-        EXPECT_TRUE(result.row(0, 0).result == ram1)
+        EXPECT_TRUE(result.row(0, 0).result == ram_ls)
             << "jobs " << jobs;
-        EXPECT_TRUE(result.row(0, 1).result == ram4)
+        EXPECT_TRUE(result.row(0, 1).result == ram_nols)
             << "jobs " << jobs;
     }
 }
@@ -213,9 +213,7 @@ TEST(IngestReplay, SourceIsReleasedWhenItsLastCellCompletes)
     workloads_list.push_back(WorkloadSpec::source(
         trace.name(),
         [holder] { return std::move(*holder); }));
-    std::vector<ConfigSpec> configs;
-    configs.push_back(ConfigSpec::fixed("shards1", shardedConfig(1)));
-    configs.push_back(ConfigSpec::fixed("shards4", shardedConfig(4)));
+    const std::vector<ConfigSpec> configs = layerConfigs();
 
     SweepOptions options;
     options.jobs = 2;

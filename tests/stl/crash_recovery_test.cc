@@ -1,8 +1,8 @@
 /**
  * @file
  * Differential crash-recovery tests: the full matrix of translation
- * layers × {offline torn-tail, zoned-device power loss} × shard
- * counts, crashed at every Nth operation and remounted. Each crash
+ * layers × {offline torn-tail, zoned-device power loss}, crashed at
+ * every Nth operation and remounted. Each crash
  * point must recover a prefix-consistent subset of the uncrashed
  * reference (byte-identical journal prefix, clean Fsck, oracle-
  * equal translation state), deterministically under a fixed seed.
@@ -43,28 +43,26 @@ std::vector<CrashCase>
 matrixCells(bool zoned_device)
 {
     std::vector<CrashCase> cells;
-    for (const int shards : {1, 4}) {
-        cells.push_back({TranslationKind::LogStructured, false,
-                         shards, zoned_device, 31, kSeed});
-        cells.push_back({TranslationKind::LogStructured, true,
-                         shards, zoned_device, 31, kSeed});
-        cells.push_back({TranslationKind::FiniteLogStructured,
-                         false, shards, zoned_device, 37, kSeed});
-        // GC-active finite-log cells: cost-benefit victims with
-        // hot/cold stream separation, and SMORE-style zone-granular
-        // reclamation. Every crash point must still pass Fsck's
-        // per-stream frontier and GC-liveness checks.
-        cells.push_back({TranslationKind::FiniteLogStructured,
-                         false, shards, zoned_device, 37, kSeed,
-                         gc::CleaningPolicyKind::CostBenefit, 2});
-        cells.push_back({TranslationKind::FiniteLogStructured,
-                         false, shards, zoned_device, 43, kSeed,
-                         gc::CleaningPolicyKind::ZoneGranular, 1});
-        cells.push_back({TranslationKind::MediaCache, false,
-                         shards, zoned_device, 29, kSeed});
-        cells.push_back({TranslationKind::Conventional, false,
-                         shards, zoned_device, 53, kSeed});
-    }
+    cells.push_back({TranslationKind::LogStructured, false,
+                     zoned_device, 31, kSeed});
+    cells.push_back({TranslationKind::LogStructured, true,
+                     zoned_device, 31, kSeed});
+    cells.push_back({TranslationKind::FiniteLogStructured, false,
+                     zoned_device, 37, kSeed});
+    // GC-active finite-log cells: cost-benefit victims with
+    // hot/cold stream separation, and SMORE-style zone-granular
+    // reclamation. Every crash point must still pass Fsck's
+    // per-stream frontier and GC-liveness checks.
+    cells.push_back({TranslationKind::FiniteLogStructured, false,
+                     zoned_device, 37, kSeed,
+                     gc::CleaningPolicyKind::CostBenefit, 2});
+    cells.push_back({TranslationKind::FiniteLogStructured, false,
+                     zoned_device, 43, kSeed,
+                     gc::CleaningPolicyKind::ZoneGranular, 1});
+    cells.push_back({TranslationKind::MediaCache, false,
+                     zoned_device, 29, kSeed});
+    cells.push_back({TranslationKind::Conventional, false,
+                     zoned_device, 53, kSeed});
     return cells;
 }
 
@@ -104,7 +102,7 @@ TEST(CrashRecovery, RecoveryIsDeterministicUnderFixedSeed)
     const trace::Trace trace = matrixTrace();
     for (const bool zoned_device : {false, true}) {
         CrashCase cell{TranslationKind::FiniteLogStructured,
-                       false, 1, zoned_device, 41, kSeed};
+                       false, zoned_device, 41, kSeed};
         SCOPED_TRACE(cell.label());
         const CrashMatrixResult first =
             runCrashMatrix(cell, trace);
@@ -118,31 +116,13 @@ TEST(CrashRecovery, RecoveryIsDeterministicUnderFixedSeed)
     }
 }
 
-TEST(CrashRecovery, ShardCountDoesNotChangeRecoveredState)
-{
-    // The sharded layer journals placements unsplit at stripe
-    // boundaries, so shards 1 and 4 must produce byte-identical
-    // journal images — and therefore identical recovery digests.
-    const trace::Trace trace = matrixTrace();
-    CrashCase serial{TranslationKind::LogStructured, true, 1,
-                     false, 31, kSeed};
-    CrashCase sharded = serial;
-    sharded.shards = 4;
-    const CrashMatrixResult a = runCrashMatrix(serial, trace);
-    const CrashMatrixResult b = runCrashMatrix(sharded, trace);
-    ASSERT_TRUE(a.ok()) << a.failure;
-    ASSERT_TRUE(b.ok()) << b.failure;
-    EXPECT_EQ(a.stateDigest, b.stateDigest);
-    EXPECT_EQ(a.epochsApplied, b.epochsApplied);
-}
-
 TEST(CrashRecovery, DeviceCrashSurfacesDataLossThroughTryRun)
 {
     const trace::Trace trace = matrixTrace();
     SegmentJournal journal;
     SimConfig config =
         testing::crashCaseConfig({TranslationKind::LogStructured,
-                                  false, 1, true, 0, kSeed});
+                                  false, true, 0, kSeed});
     config.journal = &journal;
     config.zonedDevice->crash = {5, kSeed};
     const StatusOr<SimResult> result =
@@ -164,8 +144,8 @@ TEST(CrashRecovery, ParanoidFsckRunsCleanEndToEnd)
           TranslationKind::MediaCache}) {
         SegmentJournal journal;
         SimConfig config = testing::crashCaseConfig(
-            {kind, kind == TranslationKind::LogStructured, 1,
-             false, 0, kSeed});
+            {kind, kind == TranslationKind::LogStructured, false,
+             0, kSeed});
         config.journal = &journal;
         config.paranoidFsck = true;
         // A violation is fatal inside run(); completing is the

@@ -16,7 +16,6 @@
 #include "stl/fsck.h"
 #include "stl/log_structured.h"
 #include "stl/media_cache.h"
-#include "stl/sharded_translation.h"
 
 namespace logseek::stl
 {
@@ -53,19 +52,6 @@ TEST(Fsck, CleanLogStructuredLayerPasses)
     const FsckReport report = Fsck::check(layer, journal);
     EXPECT_TRUE(report.ok()) << report.toString();
     EXPECT_GT(report.checkedEntries, 0U);
-}
-
-TEST(Fsck, CleanShardedLayerPasses)
-{
-    SegmentJournal journal;
-    ShardedTranslation layer(kEnd, 4,
-                             ZoneConfig{64 * kKiB, 8 * kKiB});
-    layer.attachJournal(&journal);
-    for (Lba lba = 0; lba < 3200; lba += 160)
-        layer.placeWrite({lba, 96});
-
-    const FsckReport report = Fsck::check(layer, journal);
-    EXPECT_TRUE(report.ok()) << report.toString();
 }
 
 TEST(Fsck, CleanFiniteLogPassesThroughCleaning)

@@ -201,38 +201,6 @@ TEST(ReplayTelemetry, CleaningSeekCounterMatchesSimResult)
     EXPECT_EQ(counterValue(snap, "replay_seeks_total",
                            "type=\"cleaning\""),
               result.cleaningSeeks);
-}
-
-TEST(ReplayTelemetry, CleaningSeekCounterMovesUnderShardedReplay)
-{
-    const EnabledGuard armed;
-    // The sharded core defers seek classification to a flush after
-    // each batch; Accounting::cleaningAccess must still be the
-    // path that counts cleaning seeks, so the labelled counter
-    // must match the SimResult under --replay-shards > 1 exactly
-    // as it does serially.
-    trace::Trace trace("t");
-    Rng rng(7);
-    for (int i = 0; i < 6000; ++i)
-        trace.appendWrite(rng.nextUint(4096), 8);
-
-    SimConfig config;
-    config.translation = TranslationKind::FiniteLogStructured;
-    config.finiteLog.capacityBytes = 8 * kMiB;
-    config.finiteLog.segmentBytes = 512 * kKiB;
-    config.finiteLog.cleanReserveSegments = 2;
-    config.finiteLog.cleanTargetSegments = 4;
-    config.replayShards = 4;
-    const SimResult result = Simulator(config).run(trace);
-
-    ASSERT_GT(result.cleaningMerges, 0u);
-    ASSERT_GT(result.cleaningSeeks, 0u);
-
-    const telemetry::MetricsSnapshot snap =
-        telemetry::Registry::global().snapshot();
-    EXPECT_EQ(counterValue(snap, "replay_seeks_total",
-                           "type=\"cleaning\""),
-              result.cleaningSeeks);
     // The finite log's own GC telemetry moves with the cleaner.
     EXPECT_EQ(counterValue(snap, "gc_reclaims_total",
                            "policy=\"greedy\""),
