@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "disk/pba_cache.h"
 #include "util/random.h"
@@ -21,8 +22,20 @@ struct FuzzParams
 {
     std::uint64_t seed;
     EvictionPolicy policy;
+    // Fills what would otherwise be padding. gtest names each case
+    // after the raw bytes of its parameter, and padding holds
+    // whatever was in memory, so the names changed from run to run.
+    std::uint32_t zero = 0;
     std::uint64_t capacitySectors; // 0 = unlimited-ish (huge)
 };
+static_assert(std::has_unique_object_representations_v<FuzzParams>);
+
+FuzzParams mix(std::uint64_t seed, EvictionPolicy policy,
+               std::uint64_t capacitySectors)
+{
+    return {.seed = seed, .policy = policy,
+            .capacitySectors = capacitySectors};
+}
 
 class PbaCacheFuzz : public ::testing::TestWithParam<FuzzParams>
 {
@@ -114,14 +127,14 @@ TEST_P(PbaCacheFuzz, HitsOnlyReturnResidentData)
 INSTANTIATE_TEST_SUITE_P(
     Mixes, PbaCacheFuzz,
     ::testing::Values(
-        FuzzParams{1, EvictionPolicy::Lru, 0},
-        FuzzParams{2, EvictionPolicy::Fifo, 0},
-        FuzzParams{3, EvictionPolicy::Lru, 64},
-        FuzzParams{4, EvictionPolicy::Fifo, 64},
-        FuzzParams{5, EvictionPolicy::Lru, 512},
-        FuzzParams{6, EvictionPolicy::Fifo, 512},
-        FuzzParams{7, EvictionPolicy::Lru, 7},
-        FuzzParams{8, EvictionPolicy::Fifo, 7}));
+        mix(1, EvictionPolicy::Lru, 0),
+        mix(2, EvictionPolicy::Fifo, 0),
+        mix(3, EvictionPolicy::Lru, 64),
+        mix(4, EvictionPolicy::Fifo, 64),
+        mix(5, EvictionPolicy::Lru, 512),
+        mix(6, EvictionPolicy::Fifo, 512),
+        mix(7, EvictionPolicy::Lru, 7),
+        mix(8, EvictionPolicy::Fifo, 7)));
 
 } // namespace
 } // namespace logseek::disk
