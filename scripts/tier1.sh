@@ -42,8 +42,10 @@
 # grid at small scale, writing BENCH_gc_ablation.smoke.json, then
 # reruns it with --jobs 2 and diffs the two reports — the grid has
 # no timing fields, so the diff proves every GC cell is
-# byte-identical across sweep parallelism (the checked-in
-# BENCH_gc_ablation.json is regenerated manually at full scale).
+# byte-identical across sweep parallelism. It then runs the full-scale
+# grid (504 cells) and cmps it against the checked-in
+# BENCH_gc_ablation.json, so a change to placement or cleaning that
+# moves any cell fails the gate.
 #
 # The extra mode `ingest-smoke` builds perf_ingest and
 # trace_convert under the default preset, converts a sample MSR CSV
@@ -136,6 +138,10 @@ run_gc_smoke() {
         --json=/tmp/tier1_gc_jobs2.json > /dev/null
     diff BENCH_gc_ablation.smoke.json /tmp/tier1_gc_jobs2.json
     echo "==> tier1: gc-smoke byte-identical across --jobs"
+    build/bench/gc_ablation --jobs "${JOBS}" \
+        --json=/tmp/tier1_gc_full.json > /dev/null
+    cmp /tmp/tier1_gc_full.json BENCH_gc_ablation.json
+    echo "==> tier1: gc-smoke full grid matches BENCH_gc_ablation.json"
 }
 
 run_ingest_smoke() {

@@ -1,6 +1,7 @@
 #include "finite_log.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "telemetry/metrics.h"
 #include "util/logging.h"
@@ -51,9 +52,12 @@ FiniteLogStructuredLayer::FiniteLogStructuredLayer(
             "FiniteLogStructuredLayer: streams plus clean target "
             "must not exceed the segment count");
     segments_.resize(count);
-    segments_[0].free = false; // stream 0's initial open segment
+    freeCount_ = static_cast<std::uint32_t>(count);
+    summaries_.resize(count);
+    liveBits_.resize((count * segmentSectors_ + 63) / 64);
     streams_.resize(config.gc.streams);
-    streams_[0] = {0, logStart_, true};
+    setFree(0, false); // stream 0's initial open segment
+    setOpenSegment(0, 0, logStart_);
     if (config.gc.streams > 1)
         router_.emplace(config.gc.streams, config.gc.router);
 
@@ -82,8 +86,8 @@ FiniteLogStructuredLayer::segmentOf(Pba pba) const
 }
 
 void
-FiniteLogStructuredLayer::adjustLive(const SectorExtent &range,
-                                     bool add)
+FiniteLogStructuredLayer::markLive(const SectorExtent &range,
+                                   bool live)
 {
     // A range may straddle segment boundaries; split per segment.
     Pba cursor = range.start;
@@ -93,8 +97,8 @@ FiniteLogStructuredLayer::adjustLive(const SectorExtent &range,
             logStart_ + (seg + 1ULL) * segmentSectors_;
         const SectorCount piece =
             std::min<SectorCount>(range.end(), seg_end) - cursor;
-        SegmentState &state = segments_[seg];
-        if (add) {
+        gc::SegmentInfo &state = segments_[seg];
+        if (live) {
             state.live += piece;
         } else {
             panicIf(state.live < piece,
@@ -103,37 +107,67 @@ FiniteLogStructuredLayer::adjustLive(const SectorExtent &range,
         }
         cursor += piece;
     }
+
+    // Same range in the bitmap, one 64-sector word at a time.
+    std::uint64_t bit = range.start - logStart_;
+    const std::uint64_t end = bit + range.count;
+    while (bit < end) {
+        const std::uint64_t shift = bit % 64;
+        const std::uint64_t width =
+            std::min<std::uint64_t>(64 - shift, end - bit);
+        const std::uint64_t mask =
+            (width == 64 ? ~0ULL : (1ULL << width) - 1) << shift;
+        if (live)
+            liveBits_[bit / 64] |= mask;
+        else
+            liveBits_[bit / 64] &= ~mask;
+        bit += width;
+    }
+}
+
+Pba
+FiniteLogStructuredLayer::findSector(Pba from, Pba end,
+                                     bool live) const
+{
+    std::uint64_t bit = from - logStart_;
+    const std::uint64_t last = end - logStart_;
+    while (bit < last) {
+        const std::uint64_t word =
+            live ? liveBits_[bit / 64] : ~liveBits_[bit / 64];
+        const std::uint64_t rest = word >> (bit % 64);
+        if (rest != 0)
+            return logStart_ +
+                   std::min<std::uint64_t>(
+                       last, bit + static_cast<std::uint64_t>(
+                                       std::countr_zero(rest)));
+        bit = (bit / 64 + 1) * 64;
+    }
+    return end;
 }
 
 void
-FiniteLogStructuredLayer::removeReverse(const SectorExtent &range)
+FiniteLogStructuredLayer::setFree(std::uint32_t seg, bool free)
 {
-    auto it = reverse_.upper_bound(range.start);
-    if (it != reverse_.begin())
-        --it;
-    while (it != reverse_.end() && it->first < range.end()) {
-        const SectorExtent entry{it->first, it->second.second};
-        const Lba entry_lba = it->second.first;
-        auto next = std::next(it);
-        const auto overlap = intersect(entry, range);
-        if (overlap) {
-            reverse_.erase(it);
-            if (entry.start < overlap->start) {
-                reverse_.emplace(
-                    entry.start,
-                    std::make_pair(entry_lba,
-                                   overlap->start - entry.start));
-            }
-            if (overlap->end() < entry.end()) {
-                reverse_.emplace(
-                    overlap->end(),
-                    std::make_pair(entry_lba +
-                                       (overlap->end() - entry.start),
-                                   entry.end() - overlap->end()));
-            }
-        }
-        it = next;
-    }
+    gc::SegmentInfo &state = segments_[seg];
+    if (state.free == free)
+        return;
+    state.free = free;
+    if (free)
+        ++freeCount_;
+    else
+        --freeCount_;
+}
+
+void
+FiniteLogStructuredLayer::setOpenSegment(std::uint32_t sid,
+                                         std::uint32_t seg,
+                                         Pba write_ptr)
+{
+    StreamState &stream = streams_[sid];
+    if (stream.opened)
+        segments_[stream.openSegment].open = false;
+    segments_[seg].open = true;
+    stream = {seg, write_ptr, true};
 }
 
 void
@@ -141,10 +175,10 @@ FiniteLogStructuredLayer::openFreeSegment(std::uint32_t sid)
 {
     for (std::uint32_t i = 0; i < segments_.size(); ++i) {
         if (segments_[i].free) {
-            segments_[i].free = false;
-            streams_[sid] = {
-                i, logStart_ + static_cast<Pba>(i) * segmentSectors_,
-                true};
+            setFree(i, false);
+            setOpenSegment(
+                sid, i,
+                logStart_ + static_cast<Pba>(i) * segmentSectors_);
             return;
         }
     }
@@ -178,15 +212,13 @@ FiniteLogStructuredLayer::append(Lba lba, SectorCount count,
         displacedScratch_.clear();
         map_.mapRange(lba, stream.writePtr, take,
                       &displacedScratch_);
-        for (const auto &dead : displacedScratch_) {
-            // Identity holes are never in the forward map, so every
-            // displaced range is log-resident.
-            adjustLive(dead, false);
-            removeReverse(dead);
-        }
-        reverse_.emplace(stream.writePtr,
-                         std::make_pair(lba, take));
-        adjustLive({stream.writePtr, take}, true);
+        // Identity holes are never in the forward map, so every
+        // displaced range is log-resident.
+        for (const auto &dead : displacedScratch_)
+            markLive(dead, false);
+        summaries_[stream.openSegment].push_back(
+            {stream.writePtr, lba, take});
+        markLive({stream.writePtr, take}, true);
         segments_[stream.openSegment].lastWrite = tick_;
 
         out.push(Segment{SectorExtent{lba, take}, stream.writePtr,
@@ -249,17 +281,6 @@ FiniteLogStructuredLayer::staticFragmentCount() const
     return map_.entryCount();
 }
 
-std::uint32_t
-FiniteLogStructuredLayer::freeSegments() const
-{
-    std::uint32_t count = 0;
-    for (const auto &segment : segments_) {
-        if (segment.free)
-            ++count;
-    }
-    return count;
-}
-
 SectorCount
 FiniteLogStructuredLayer::segmentLive(std::uint32_t i) const
 {
@@ -268,35 +289,26 @@ FiniteLogStructuredLayer::segmentLive(std::uint32_t i) const
     return segments_[i].live;
 }
 
-bool
-FiniteLogStructuredLayer::segmentOpen(std::uint32_t i) const
-{
-    for (const StreamState &stream : streams_) {
-        if (stream.opened && stream.openSegment == i)
-            return true;
-    }
-    return false;
-}
-
 std::vector<MediaAccess>
 FiniteLogStructuredLayer::maintenance()
 {
     std::vector<MediaAccess> accesses;
     // Hysteresis: cleaning starts when the reserve is reached and
     // runs until the target is restored (policy-overridable).
-    if (!policy_->startCleaning(freeSegments(),
+    if (!policy_->startCleaning(freeCount_,
                                 config_.cleanReserveSegments))
         return accesses;
-    while (policy_->continueCleaning(freeSegments(),
+    while (policy_->continueCleaning(freeCount_,
                                      config_.cleanTargetSegments)) {
         const std::optional<std::uint32_t> selected =
-            policy_->selectVictim(*this);
+            policy_->selectVictim(
+                {segments_, segmentSectors_, tick_});
         if (!selected) {
             // All closed segments are fully live: compaction has
             // nothing to reclaim right now. That is fine as long
             // as we are above the reserve; below it the log is
             // genuinely overcommitted.
-            if (freeSegments() > config_.cleanReserveSegments)
+            if (freeCount_ > config_.cleanReserveSegments)
                 break;
             fatal("finite log overcommitted: cleaning cannot "
                   "reclaim space (live data exceeds capacity "
@@ -311,19 +323,18 @@ FiniteLogStructuredLayer::maintenance()
         gcVictimUtilization_->record(victim_live * 100 /
                                      segmentSectors_);
 
-        // Move the victim's live extents to the frontier.
-        const Pba victim_start =
-            logStart_ + static_cast<Pba>(victim) * segmentSectors_;
-        const SectorExtent victim_extent{victim_start,
-                                         segmentSectors_};
-        std::vector<std::pair<Pba, std::pair<Lba, SectorCount>>>
-            live;
-        for (auto it = reverse_.lower_bound(victim_start);
-             it != reverse_.end() &&
-             it->first < victim_extent.end();
-             ++it) {
-            live.emplace_back(*it);
-        }
+        // Move the victim's live extents to the frontier. Moving
+        // one kills exactly its own sectors and appends to the cold
+        // stream's open segment, never the victim, so the runs
+        // gathered up front stay live until their turn.
+        const SectorExtent victim_extent{
+            logStart_ + static_cast<Pba>(victim) * segmentSectors_,
+            segmentSectors_};
+        victimScratch_.clear();
+        forEachLiveRun(victim, [&](Lba lba, Pba pba,
+                                   SectorCount count) {
+            victimScratch_.push_back({pba, lba, count});
+        });
 
         // Zone-granular policies stream the whole victim zone in
         // one sequential read (a single seek) instead of seeking
@@ -334,18 +345,13 @@ FiniteLogStructuredLayer::maintenance()
                 {victim_extent, trace::IoType::Read});
         }
 
-        for (const auto &[pba, entry] : live) {
-            const auto &[lba, count] = entry;
-            // The entry may have been displaced by an earlier
-            // rewrite in this same pass; re-check residency.
-            if (!reverse_.contains(pba))
-                continue;
+        for (const SummaryEntry &run : victimScratch_) {
             if (!whole_zone) {
-                accesses.push_back({SectorExtent{pba, count},
+                accesses.push_back({SectorExtent{run.pba, run.count},
                                     trace::IoType::Read});
             }
             cleanScratch_.clear();
-            append(lba, count, cleanScratch_, coldStream());
+            append(run.lba, run.count, cleanScratch_, coldStream());
             for (const Segment &segment : cleanScratch_) {
                 accesses.push_back({segment.physical(),
                                     trace::IoType::Write});
@@ -354,7 +360,8 @@ FiniteLogStructuredLayer::maintenance()
         panicIf(segments_[victim].live != 0,
                 "FiniteLogStructuredLayer: victim still live after "
                 "cleaning");
-        segments_[victim].free = true;
+        summaries_[victim].clear();
+        setFree(victim, true);
         ++cleanings_;
         if (journal_ != nullptr) {
             // Cleaning re-appends went to the cold stream; record
@@ -377,7 +384,7 @@ FiniteLogStructuredLayer::mountFromJournal(
     const telemetry::ScopedTimer timer(
         &telemetry::Registry::global().histogram(
             "mount_latency_ns"));
-    panicIf(!map_.empty() || !reverse_.empty(),
+    panicIf(!map_.empty() || tick_ != 0,
             "FiniteLogStructuredLayer: mount on a non-fresh layer");
     const JournalScan scan = scanJournal(journal.image());
     for (const JournalRecord &record : scan.records) {
@@ -388,17 +395,14 @@ FiniteLogStructuredLayer::mountFromJournal(
                 displacedScratch_.clear();
                 map_.mapRange(entry.lba, entry.pba, entry.count,
                               &displacedScratch_);
-                for (const auto &dead : displacedScratch_) {
-                    adjustLive(dead, false);
-                    removeReverse(dead);
-                }
-                reverse_.emplace(
-                    entry.pba,
-                    std::make_pair(entry.lba, entry.count));
-                adjustLive({entry.pba, entry.count}, true);
+                for (const auto &dead : displacedScratch_)
+                    markLive(dead, false);
                 // Append never splits an entry across segments.
                 const std::uint32_t seg = segmentOf(entry.pba);
-                segments_[seg].free = false;
+                summaries_[seg].push_back(
+                    {entry.pba, entry.lba, entry.count});
+                markLive({entry.pba, entry.count}, true);
+                setFree(seg, false);
                 segments_[seg].lastWrite = tick_;
             }
             const auto open =
@@ -411,8 +415,8 @@ FiniteLogStructuredLayer::mountFromJournal(
             panicIf(open >= segments_.size(),
                     "FiniteLogStructuredLayer: journal opens a "
                     "segment beyond the log");
-            segments_[open].free = false;
-            streams_[sid] = {open, record.frontierAfter, true};
+            setFree(open, false);
+            setOpenSegment(sid, open, record.frontierAfter);
             break;
         }
         case JournalRecordKind::SegmentReset: {
@@ -429,7 +433,8 @@ FiniteLogStructuredLayer::mountFromJournal(
             panicIf(segments_[victim].live != 0,
                     "FiniteLogStructuredLayer: journal reclaims a "
                     "live segment");
-            segments_[victim].free = true;
+            summaries_[victim].clear();
+            setFree(victim, true);
             // The reset's frontier belongs to the cleaning stream;
             // a logStart_ record while the stream is still closed
             // means the victim was fully dead and nothing moved.

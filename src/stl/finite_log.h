@@ -25,10 +25,8 @@
 #define LOGSEEK_STL_FINITE_LOG_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "stl/extent_map.h"
@@ -64,8 +62,7 @@ struct FiniteLogConfig
  * and is never cleaned, matching the paper's placement for data
  * written before trace collection began.
  */
-class FiniteLogStructuredLayer : public TranslationLayer,
-                                 public gc::SegmentStateView
+class FiniteLogStructuredLayer : public TranslationLayer
 {
   public:
     /**
@@ -95,11 +92,11 @@ class FiniteLogStructuredLayer : public TranslationLayer,
 
     /**
      * Replays Placement epochs through the same displaced-range
-     * bookkeeping as live appends (forward map, reverse map,
-     * per-segment liveness, free flags) and SegmentReset epochs as
-     * victim reclaims, then adopts each stream's recorded write
-     * pointer and open segment (the owning stream rides in the aux
-     * word's high half). A crash between a cleaning pass's
+     * bookkeeping as live appends (forward map, segment summaries,
+     * live bits, per-segment liveness, free flags) and SegmentReset
+     * epochs as victim reclaims, then adopts each stream's recorded
+     * write pointer and open segment (the owning stream rides in the
+     * aux word's high half). A crash between a cleaning pass's
      * re-appends and its SegmentReset recovers to a consistent
      * mid-clean state: the moved extents are live at their new home
      * and the victim is simply not yet free.
@@ -152,23 +149,20 @@ class FiniteLogStructuredLayer : public TranslationLayer,
     }
 
     /** Number of segments currently free. */
-    std::uint32_t freeSegments() const;
+    std::uint32_t freeSegments() const { return freeCount_; }
 
     /** Total segments in the log region. */
-    std::uint32_t segmentCount() const override
+    std::uint32_t segmentCount() const
     {
         return static_cast<std::uint32_t>(segments_.size());
     }
 
     /** Sectors per segment. */
-    SectorCount segmentSectors() const override
-    {
-        return segmentSectors_;
-    }
+    SectorCount segmentSectors() const { return segmentSectors_; }
 
     /** True when segment i is on the free list. */
     bool
-    segmentFree(std::uint32_t i) const override
+    segmentFree(std::uint32_t i) const
     {
         return segments_[i].free;
     }
@@ -177,20 +171,14 @@ class FiniteLogStructuredLayer : public TranslationLayer,
     SectorCount liveSectors() const { return map_.mappedSectors(); }
 
     /** Live sectors in segment i (tests/diagnostics). */
-    SectorCount segmentLive(std::uint32_t i) const override;
+    SectorCount segmentLive(std::uint32_t i) const;
 
     /** True when segment i is some stream's open segment. */
-    bool segmentOpen(std::uint32_t i) const override;
-
-    /** Logical tick of the last write into segment i. */
-    std::uint64_t
-    segmentLastWrite(std::uint32_t i) const override
+    bool
+    segmentOpen(std::uint32_t i) const
     {
-        return segments_[i].lastWrite;
+        return segments_[i].open;
     }
-
-    /** Current logical tick (one per append). */
-    std::uint64_t now() const override { return tick_; }
 
     /** The active cleaning policy. */
     const gc::CleaningPolicy &policy() const { return *policy_; }
@@ -235,21 +223,27 @@ class FiniteLogStructuredLayer : public TranslationLayer,
     /** Forward map (read-only; Fsck and diagnostics). */
     const ExtentMap &extentMap() const { return map_; }
 
-    /** Reverse map (read-only; Fsck and diagnostics). */
-    const std::map<Pba, std::pair<Lba, SectorCount>> &
-    reverseMap() const
+    /**
+     * Reverse index (Fsck and diagnostics): calls fn(lba, pba,
+     * count) for every live extent of the log, in physical order.
+     * An extent is a maximal live run inside one appended piece, so
+     * physically adjacent appends report separately.
+     */
+    template <typename Fn>
+    void
+    forEachLiveExtent(Fn &&fn) const
     {
-        return reverse_;
+        for (std::uint32_t seg = 0; seg < segmentCount(); ++seg)
+            forEachLiveRun(seg, fn);
     }
 
   private:
-    struct SegmentState
+    /** One append into a segment (an LFS segment-summary entry). */
+    struct SummaryEntry
     {
-        SectorCount live = 0;
-        bool free = true;
-
-        /** Logical tick of the last write (0 = never written). */
-        std::uint64_t lastWrite = 0;
+        Pba pba = 0;
+        Lba lba = 0;
+        SectorCount count = 0;
     };
 
     struct StreamState
@@ -271,11 +265,37 @@ class FiniteLogStructuredLayer : public TranslationLayer,
     /** Segment index of a log sector. */
     std::uint32_t segmentOf(Pba pba) const;
 
-    /** Adjust per-segment liveness for a physical range. */
-    void adjustLive(const SectorExtent &range, bool add);
+    /** Set or clear the live bits of a physical range and adjust
+     *  the per-segment live counters to match. */
+    void markLive(const SectorExtent &range, bool live);
 
-    /** Remove a physical range from the reverse (pba->lba) map. */
-    void removeReverse(const SectorExtent &range);
+    /** First live (or, with live = false, dead) log sector in
+     *  [from, end); end if there is none. */
+    Pba findSector(Pba from, Pba end, bool live) const;
+
+    /** Calls fn(lba, pba, count) for each maximal live run of
+     *  segment seg's summary entries, in physical order. */
+    template <typename Fn>
+    void
+    forEachLiveRun(std::uint32_t seg, Fn &&fn) const
+    {
+        for (const SummaryEntry &entry : summaries_[seg]) {
+            const Pba end = entry.pba + entry.count;
+            Pba run = findSector(entry.pba, end, true);
+            while (run < end) {
+                const Pba run_end = findSector(run, end, false);
+                fn(entry.lba + (run - entry.pba), run, run_end - run);
+                run = findSector(run_end, end, true);
+            }
+        }
+    }
+
+    /** Flip segment seg's free flag, keeping freeCount_ in step. */
+    void setFree(std::uint32_t seg, bool free);
+
+    /** Make seg stream sid's open segment, moving the open flag. */
+    void setOpenSegment(std::uint32_t sid, std::uint32_t seg,
+                        Pba write_ptr);
 
     /** Open a free segment for stream sid; fatal if none. */
     void openFreeSegment(std::uint32_t sid);
@@ -292,13 +312,21 @@ class FiniteLogStructuredLayer : public TranslationLayer,
     FiniteLogConfig config_;
     Pba logStart_;
     SectorCount segmentSectors_;
-    std::vector<SegmentState> segments_;
+    std::vector<gc::SegmentInfo> segments_;
+
+    /** Segments with the free flag set. */
+    std::uint32_t freeCount_ = 0;
 
     /** Forward map: lba -> log pba. */
     ExtentMap map_;
 
-    /** Reverse map: log pba -> (lba, count); entries disjoint. */
-    std::map<Pba, std::pair<Lba, SectorCount>> reverse_;
+    /**
+     * Reverse index: each segment's appends in physical order, plus
+     * one live bit per log sector (bit i is log sector logStart_ +
+     * i). A summary entry's live runs are its reverse mappings.
+     */
+    std::vector<std::vector<SummaryEntry>> summaries_;
+    std::vector<std::uint64_t> liveBits_;
 
     std::vector<StreamState> streams_;
     std::uint64_t cleanings_ = 0;
@@ -312,10 +340,12 @@ class FiniteLogStructuredLayer : public TranslationLayer,
     /** Host-write classifier; engaged only when streams > 1. */
     std::optional<gc::StreamRouter> router_;
 
-    /** Reusable scratches: displaced ranges from mapRange and the
-     *  per-entry placements during cleaning. clear() keeps their
-     *  capacity, so steady-state appends do not allocate. */
+    /** Reusable scratches: displaced ranges from mapRange, a
+     *  victim's live runs and the per-run placements during
+     *  cleaning. clear() keeps their capacity, so steady-state
+     *  appends do not allocate. */
     std::vector<SectorExtent> displacedScratch_;
+    std::vector<SummaryEntry> victimScratch_;
     SegmentBuffer cleanScratch_;
 
     /** Durable metadata journal; null = volatile (the default). */

@@ -314,27 +314,54 @@ checkFiniteLog(const FiniteLogStructuredLayer &layer,
                    std::to_string(
                        layer.extentMap().mappedSectors()));
 
-    // Forward/reverse bijection: the reverse map, re-sorted by LBA,
-    // must describe exactly the forward map.
+    // Incremental segment state: the free count must match the
+    // free flags, and the open flags must mark exactly the opened
+    // streams' open segments.
+    std::uint32_t free_total = 0;
+    std::vector<bool> open(layer.segmentCount(), false);
+    for (std::uint32_t sid = 0; sid < layer.streamCount(); ++sid) {
+        if (layer.streamOpened(sid))
+            open[layer.streamOpenSegment(sid)] = true;
+    }
+    for (std::uint32_t i = 0; i < layer.segmentCount(); ++i) {
+        if (layer.segmentFree(i))
+            ++free_total;
+        if (layer.segmentOpen(i) != open[i])
+            report(out, "open-flag",
+                   "segment " + std::to_string(i) +
+                       (open[i] ? " is a stream's open segment but "
+                                  "not flagged open"
+                                : " is flagged open but no stream "
+                                  "has it open"));
+    }
+    if (layer.freeSegments() != free_total)
+        report(out, "free-count",
+               "layer counts " +
+                   std::to_string(layer.freeSegments()) +
+                   " free segments, free flags mark " +
+                   std::to_string(free_total));
+
+    // Forward/reverse bijection: the reverse index's live extents,
+    // re-sorted by LBA, must describe exactly the forward map.
     std::vector<JournalEntry> from_reverse;
-    from_reverse.reserve(layer.reverseMap().size());
-    for (const auto &[pba, entry] : layer.reverseMap())
-        from_reverse.push_back({entry.first, pba, entry.second});
+    layer.forEachLiveExtent(
+        [&](Lba lba, Pba pba, SectorCount count) {
+            from_reverse.push_back({lba, pba, count});
+        });
     std::sort(from_reverse.begin(), from_reverse.end(),
               [](const JournalEntry &a, const JournalEntry &b) {
                   return a.lba < b.lba;
               });
     compareEntries(out, "reverse-bijection",
-                   collectEntries(layer.extentMap()),
-                   std::move(from_reverse));
+                   collectEntries(layer.extentMap()), from_reverse);
 
     // Liveness accounting: per-segment live counters must equal the
     // reverse-resident sectors in that segment, and free segments
     // must hold no live data.
     std::vector<SectorCount> live(layer.segmentCount(), 0);
-    for (const auto &[pba, entry] : layer.reverseMap()) {
-        Pba cursor = pba;
-        const Pba end = pba + entry.second;
+    for (const JournalEntry &entry : from_reverse) {
+        Pba cursor = entry.pba;
+        const Pba end = entry.pba + entry.count;
         while (cursor < end) {
             const auto seg = static_cast<std::uint32_t>(
                 (cursor - layer.logStart()) /
@@ -353,7 +380,7 @@ checkFiniteLog(const FiniteLogStructuredLayer &layer,
             report(out, "liveness-accounting",
                    "segment " + std::to_string(i) + " counts " +
                        std::to_string(layer.segmentLive(i)) +
-                       " live sectors, reverse map holds " +
+                       " live sectors, reverse index holds " +
                        std::to_string(live[i]));
         if (layer.segmentFree(i) && layer.segmentLive(i) != 0)
             report(out, "free-segment-live",

@@ -7,8 +7,9 @@
  * story. Fsck::check replays the journal's consistent prefix into
  * reference structures and compares them against the live layer:
  * extent-map ↔ on-log agreement, write-pointer alignment with the
- * last recorded epoch, finite-log forward/reverse bijection and
- * liveness accounting, media-cache pointer arithmetic. Violations
+ * last recorded epoch, finite-log forward/reverse bijection,
+ * liveness accounting and free/open segment bookkeeping,
+ * media-cache pointer arithmetic. Violations
  * are collected, never thrown — the caller decides whether a dirty
  * report is fatal.
  */

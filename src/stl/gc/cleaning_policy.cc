@@ -39,18 +39,19 @@ class GreedyPolicy final : public CleaningPolicy
     selectVictim(const SegmentStateView &view) const override
     {
         std::uint32_t victim = 0;
-        SectorCount best = view.segmentSectors();
+        SectorCount best = view.segmentSectors;
         bool found = false;
-        for (std::uint32_t i = 0; i < view.segmentCount(); ++i) {
-            if (view.segmentFree(i) || view.segmentOpen(i))
+        for (std::uint32_t i = 0; i < view.segments.size(); ++i) {
+            const SegmentInfo &segment = view.segments[i];
+            if (segment.free || segment.open)
                 continue;
-            if (view.segmentLive(i) < best) {
-                best = view.segmentLive(i);
+            if (segment.live < best) {
+                best = segment.live;
                 victim = i;
                 found = true;
             }
         }
-        if (!found || best >= view.segmentSectors())
+        if (!found || best >= view.segmentSectors)
             return std::nullopt;
         return victim;
     }
@@ -77,22 +78,22 @@ class CostBenefitPolicy final : public CleaningPolicy
     std::optional<std::uint32_t>
     selectVictim(const SegmentStateView &view) const override
     {
-        const SectorCount sectors = view.segmentSectors();
-        const std::uint64_t now = view.now();
+        const SectorCount sectors = view.segmentSectors;
         std::uint32_t victim = 0;
         // Score numerator/denominator of the current best; compare
         // candidates by cross-multiplication to stay exact.
         unsigned __int128 best_num = 0;
         std::uint64_t best_den = 1;
         bool found = false;
-        for (std::uint32_t i = 0; i < view.segmentCount(); ++i) {
-            if (view.segmentFree(i) || view.segmentOpen(i))
+        for (std::uint32_t i = 0; i < view.segments.size(); ++i) {
+            const SegmentInfo &segment = view.segments[i];
+            if (segment.free || segment.open)
                 continue;
-            const SectorCount live = view.segmentLive(i);
+            const SectorCount live = segment.live;
             if (live >= sectors)
                 continue; // fully live: reclaiming frees nothing
             const std::uint64_t age =
-                now - view.segmentLastWrite(i) + 1;
+                view.now - segment.lastWrite + 1;
             const unsigned __int128 num =
                 static_cast<unsigned __int128>(age) *
                 (sectors - live);
@@ -130,17 +131,17 @@ class ZoneGranularPolicy final : public CleaningPolicy
     selectVictim(const SegmentStateView &view) const override
     {
         std::uint32_t victim = 0;
-        SectorCount best = view.segmentSectors();
+        SectorCount best = view.segmentSectors;
         std::uint64_t best_age = 0;
         bool found = false;
-        for (std::uint32_t i = 0; i < view.segmentCount(); ++i) {
-            if (view.segmentFree(i) || view.segmentOpen(i))
+        for (std::uint32_t i = 0; i < view.segments.size(); ++i) {
+            const SegmentInfo &segment = view.segments[i];
+            if (segment.free || segment.open)
                 continue;
-            const SectorCount live = view.segmentLive(i);
-            if (live >= view.segmentSectors())
+            const SectorCount live = segment.live;
+            if (live >= view.segmentSectors)
                 continue;
-            const std::uint64_t age =
-                view.now() - view.segmentLastWrite(i);
+            const std::uint64_t age = view.now - segment.lastWrite;
             if (!found || live < best ||
                 (live == best && age > best_age)) {
                 best = live;

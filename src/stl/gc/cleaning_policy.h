@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "stl/gc/stream_router.h"
 #include "util/units.h"
@@ -63,29 +64,35 @@ struct GcConfig
     StreamRouterConfig router;
 };
 
-/**
- * Read-only view of the log's per-segment state a policy selects
- * victims from. Ticks are a logical clock advanced once per append,
- * giving age without wall time.
- */
-class SegmentStateView
+/** One segment's state as the cleaner sees it. */
+struct SegmentInfo
 {
-  public:
-    virtual ~SegmentStateView() = default;
+    /** Live (mapped) sectors. */
+    SectorCount live = 0;
 
-    virtual std::uint32_t segmentCount() const = 0;
-    virtual SectorCount segmentSectors() const = 0;
-    virtual SectorCount segmentLive(std::uint32_t i) const = 0;
-    virtual bool segmentFree(std::uint32_t i) const = 0;
+    /** Logical tick of the last write (0 = never written). */
+    std::uint64_t lastWrite = 0;
 
-    /** True when i is some stream's open segment (never a victim). */
-    virtual bool segmentOpen(std::uint32_t i) const = 0;
+    /** On the free list. */
+    bool free = true;
 
-    /** Logical tick of the last write into i (0 = never written). */
-    virtual std::uint64_t segmentLastWrite(std::uint32_t i) const = 0;
+    /** Some stream's open segment (never a victim). */
+    bool open = false;
+};
+
+/**
+ * The log's per-segment state a policy selects victims from, as
+ * plain data: one flat scan per victim choice, no virtual calls.
+ * Ticks are a logical clock advanced once per append, giving age
+ * without wall time.
+ */
+struct SegmentStateView
+{
+    std::span<const SegmentInfo> segments;
+    SectorCount segmentSectors = 0;
 
     /** Current logical tick. */
-    virtual std::uint64_t now() const = 0;
+    std::uint64_t now = 0;
 };
 
 /** The victim-selection + hysteresis interface. */

@@ -85,6 +85,32 @@ TEST(CrashRecovery, OfflineTornTailMatrixRecoversConsistently)
     }
 }
 
+TEST(CrashRecovery, CleaningFiniteLogMatrixRecoversConsistently)
+{
+    // matrixTrace() writes less than the finite-log cells' capacity,
+    // so their crash points never mount a segment reset. Five times
+    // the ops make every finite-log cell clean, so mounts rebuild
+    // reclaimed segments (free count, open flags, summaries, live
+    // bits) and torn tails can cut a pass between its re-appends and
+    // its reset.
+    const trace::Trace trace =
+        crashTrace(5 * kOps, kSeed, bytesToSectors(2 * kMiB));
+    for (const bool zoned_device : {false, true}) {
+        for (const CrashCase &cell : matrixCells(zoned_device)) {
+            if (cell.kind != TranslationKind::FiniteLogStructured)
+                continue;
+            SCOPED_TRACE(cell.label());
+            const SimResult uncrashed =
+                Simulator(testing::crashCaseConfig(cell)).run(trace);
+            EXPECT_GT(uncrashed.cleaningMerges, 0U);
+            const CrashMatrixResult result =
+                runCrashMatrix(cell, trace);
+            EXPECT_TRUE(result.ok()) << result.failure;
+            EXPECT_GT(result.crashesRun, 0U);
+        }
+    }
+}
+
 TEST(CrashRecovery, ZonedDevicePowerLossMatrixRecoversConsistently)
 {
     const trace::Trace trace = matrixTrace();

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "stl/finite_log.h"
+#include "stl/segment_journal.h"
 #include "stl/simulator.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -173,6 +175,70 @@ TEST(FiniteLog, OvercommittedLogIsFatal)
             }
         },
         FatalError);
+}
+
+TEST(FiniteLog, RemountThenContinueMatchesUninterruptedLog)
+{
+    // Mount rebuilds the segment summaries, live bits, free count
+    // and open flags from the journal. A mounted log must then
+    // place and clean exactly as the log that wrote the journal.
+    // One stream only: the router's interval history is not
+    // journaled, so a multi-stream log may route differently.
+    for (const auto policy : {gc::CleaningPolicyKind::Greedy,
+                              gc::CleaningPolicyKind::CostBenefit,
+                              gc::CleaningPolicyKind::ZoneGranular}) {
+        SCOPED_TRACE(gc::toString(policy));
+        FiniteLogConfig config = tinyLog();
+        config.gc.policy = policy;
+        const Lba space = 128;
+        SegmentJournal journal;
+        FiniteLogStructuredLayer original(space, config);
+        original.attachJournal(&journal);
+        Rng rng(31);
+        SegmentBuffer placed;
+        for (int op = 0; op < 1500; ++op) {
+            const SectorCount count = 1 + rng.nextUint(12);
+            original.placeWriteInto(
+                {rng.nextUint(space - count), count}, placed);
+            (void)original.maintenance();
+        }
+        const std::uint64_t mounted_cleanings = original.cleanings();
+        ASSERT_GT(mounted_cleanings, 0U);
+
+        FiniteLogStructuredLayer mounted(space, config);
+        mounted.mountFromJournal(journal);
+        SegmentBuffer remounted_placed;
+        for (int op = 0; op < 1500; ++op) {
+            SCOPED_TRACE(op);
+            const SectorCount count = 1 + rng.nextUint(12);
+            const SectorExtent write{rng.nextUint(space - count),
+                                     count};
+            original.placeWriteInto(write, placed);
+            mounted.placeWriteInto(write, remounted_placed);
+            ASSERT_EQ(std::vector<Segment>(remounted_placed.begin(),
+                                           remounted_placed.end()),
+                      std::vector<Segment>(placed.begin(),
+                                           placed.end()));
+
+            const auto want = original.maintenance();
+            const auto got = mounted.maintenance();
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(got[i].physical, want[i].physical);
+                EXPECT_EQ(got[i].type, want[i].type);
+            }
+            ASSERT_EQ(mounted.freeSegments(), original.freeSegments());
+            for (std::uint32_t i = 0; i < original.segmentCount();
+                 ++i) {
+                ASSERT_EQ(mounted.segmentLive(i),
+                          original.segmentLive(i));
+                ASSERT_EQ(mounted.segmentOpen(i),
+                          original.segmentOpen(i));
+            }
+        }
+        EXPECT_GT(mounted.cleanings(), mounted_cleanings);
+        EXPECT_EQ(mounted.cleanings(), original.cleanings());
+    }
 }
 
 TEST(FiniteLog, InvalidConfigPanics)

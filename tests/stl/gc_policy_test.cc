@@ -26,16 +26,23 @@ namespace logseek::stl
 namespace
 {
 
+/** segments x sectors, reserve 2 / target 4. */
+FiniteLogConfig
+logConfig(std::uint64_t segments, SectorCount sectors)
+{
+    FiniteLogConfig config;
+    config.segmentBytes = sectors * kSectorBytes;
+    config.capacityBytes = segments * sectors * kSectorBytes;
+    config.cleanReserveSegments = 2;
+    config.cleanTargetSegments = 4;
+    return config;
+}
+
 /** 8 segments x 32 sectors, reserve 2 / target 4. */
 FiniteLogConfig
 tinyConfig()
 {
-    FiniteLogConfig config;
-    config.segmentBytes = 32 * kSectorBytes;
-    config.capacityBytes = 8 * 32 * kSectorBytes;
-    config.cleanReserveSegments = 2;
-    config.cleanTargetSegments = 4;
-    return config;
+    return logConfig(8, 32);
 }
 
 /** Flatten a buffer for comparison. */
@@ -57,41 +64,69 @@ expectSameAccesses(const std::vector<MediaAccess> &a,
     }
 }
 
+/** One geometry of the greedy differential. */
+struct ChurnGeometry
+{
+    const char *name;
+    FiniteLogConfig config;
+
+    /** Logical address space the churn writes into. */
+    Lba space;
+
+    /** Writes are 1..maxWrite sectors long. */
+    SectorCount maxWrite;
+};
+
 TEST(GcPolicy, GreedyMatchesReferenceOnRandomizedChurn)
 {
     // The acceptance pin: the pluggable greedy policy must
     // reproduce the historical hardcoded cleaner access-for-access
-    // and mapping-for-mapping across heavy random churn.
-    const Lba space = 128;
-    FiniteLogStructuredLayer layer(space, tinyConfig());
-    testing::ReferenceFiniteLog reference(space, tinyConfig());
+    // and mapping-for-mapping across heavy random churn. The second
+    // geometry's segments are not a multiple of 64 sectors and its
+    // writes cross segment boundaries, so live runs straddle words
+    // of the layer's live bitmap.
+    const ChurnGeometry geometries[] = {
+        {"8x32", tinyConfig(), 128, 8},
+        {"12x100", logConfig(12, 100), 480, 150},
+    };
+    for (const ChurnGeometry &geometry : geometries) {
+        SCOPED_TRACE(geometry.name);
+        const Lba space = geometry.space;
+        FiniteLogStructuredLayer layer(space, geometry.config);
+        testing::ReferenceFiniteLog reference(space,
+                                              geometry.config);
 
-    Rng rng(17);
-    SegmentBuffer scratch;
-    for (int op = 0; op < 4000; ++op) {
-        const SectorCount count = 1 + rng.nextUint(8);
-        const Lba lba = rng.nextUint(space - count);
-        layer.placeWriteInto({lba, count}, scratch);
-        const std::vector<Segment> placed = toVector(scratch);
-        EXPECT_EQ(placed, reference.placeWrite({lba, count}));
-        expectSameAccesses(layer.maintenance(),
-                           reference.maintenance());
-    }
-    EXPECT_GT(layer.cleanings(), 0U);
-    EXPECT_EQ(layer.cleanings(), reference.cleanings());
-    EXPECT_EQ(layer.freeSegments(), reference.freeSegments());
-    EXPECT_EQ(layer.writePointer(), reference.writePointer());
-    EXPECT_EQ(layer.openSegment(), reference.openSegment());
-    for (std::uint32_t i = 0; i < layer.segmentCount(); ++i) {
-        EXPECT_EQ(layer.segmentLive(i), reference.segmentLive(i));
-        EXPECT_EQ(layer.segmentFree(i), reference.segmentFree(i));
-    }
+        Rng rng(17);
+        SegmentBuffer scratch;
+        for (int op = 0; op < 4000; ++op) {
+            const SectorCount count =
+                1 + rng.nextUint(geometry.maxWrite);
+            const Lba lba = rng.nextUint(space - count);
+            layer.placeWriteInto({lba, count}, scratch);
+            const std::vector<Segment> placed = toVector(scratch);
+            EXPECT_EQ(placed, reference.placeWrite({lba, count}));
+            expectSameAccesses(layer.maintenance(),
+                               reference.maintenance());
+            EXPECT_EQ(layer.freeSegments(),
+                      reference.freeSegments());
+        }
+        EXPECT_GT(layer.cleanings(), 0U);
+        EXPECT_EQ(layer.cleanings(), reference.cleanings());
+        EXPECT_EQ(layer.writePointer(), reference.writePointer());
+        EXPECT_EQ(layer.openSegment(), reference.openSegment());
+        for (std::uint32_t i = 0; i < layer.segmentCount(); ++i) {
+            EXPECT_EQ(layer.segmentLive(i),
+                      reference.segmentLive(i));
+            EXPECT_EQ(layer.segmentFree(i),
+                      reference.segmentFree(i));
+        }
 
-    // Full logical space must translate identically.
-    SegmentBuffer via_layer;
-    layer.translateReadInto({0, space}, via_layer);
-    EXPECT_EQ(toVector(via_layer),
-              reference.translateRead({0, space}));
+        // Full logical space must translate identically.
+        SegmentBuffer via_layer;
+        layer.translateReadInto({0, space}, via_layer);
+        EXPECT_EQ(toVector(via_layer),
+                  reference.translateRead({0, space}));
+    }
 }
 
 TEST(GcPolicy, FactoryNamesAreStable)
@@ -112,7 +147,7 @@ TEST(GcPolicy, FactoryNamesAreStable)
 }
 
 /** Hand-built segment state for direct selector tests. */
-class FakeView : public gc::SegmentStateView
+class FakeView
 {
   public:
     struct Seg
@@ -124,41 +159,23 @@ class FakeView : public gc::SegmentStateView
     };
 
     FakeView(SectorCount sectors, std::uint64_t now,
-             std::vector<Seg> segs)
-        : sectors_(sectors), now_(now), segs_(std::move(segs))
+             const std::vector<Seg> &segs)
+        : sectors_(sectors), now_(now)
     {
+        for (const Seg &seg : segs)
+            segs_.push_back(
+                {seg.live, seg.lastWrite, seg.free, seg.open});
     }
 
-    std::uint32_t segmentCount() const override
+    operator gc::SegmentStateView() const
     {
-        return static_cast<std::uint32_t>(segs_.size());
+        return {segs_, sectors_, now_};
     }
-    SectorCount segmentSectors() const override
-    {
-        return sectors_;
-    }
-    SectorCount segmentLive(std::uint32_t i) const override
-    {
-        return segs_[i].live;
-    }
-    bool segmentFree(std::uint32_t i) const override
-    {
-        return segs_[i].free;
-    }
-    bool segmentOpen(std::uint32_t i) const override
-    {
-        return segs_[i].open;
-    }
-    std::uint64_t segmentLastWrite(std::uint32_t i) const override
-    {
-        return segs_[i].lastWrite;
-    }
-    std::uint64_t now() const override { return now_; }
 
   private:
     SectorCount sectors_;
     std::uint64_t now_;
-    std::vector<Seg> segs_;
+    std::vector<gc::SegmentInfo> segs_;
 };
 
 TEST(GcPolicy, GreedySelectsLeastLiveClosedSegment)
