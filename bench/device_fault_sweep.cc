@@ -9,8 +9,8 @@
  * through translation layers mounted on a ZonedDevice and sweeps a
  * fault-rate × fault-profile grid, reporting how much recovery work
  * (retries, degraded reads, zone resets, WP violations) each
- * configuration absorbs — every cell classified under the sweep's
- * OK/RETRIED_OK/FAILED/TIMED_OUT taxonomy, never crashed.
+ * configuration absorbs — every cell reported OK or FAILED, never
+ * crashed.
  *
  * The base fault rate comes from --fault-rate (default 0.002), the
  * defect map seed from --bad-sector-seed, and the open-zone limit
@@ -23,7 +23,6 @@
  */
 
 #include <algorithm>
-#include <array>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -177,19 +176,16 @@ main(int argc, char **argv)
               << ", open-zone limit " << cli->maxOpenZones
               << ")\n\n";
 
-    analysis::TextTable table({"workload", "config", "outcome",
+    analysis::TextTable table({"workload", "config", "status",
                                "retries", "recovered", "lost",
                                "degraded rds", "resets",
                                "wp viol", "RO/off zones"});
-    std::array<std::uint64_t, 5> outcome_census{};
     for (std::size_t w = 0; w < names.size(); ++w) {
         for (std::size_t c = 0; c < config_count; ++c) {
             const sweep::RunRow &row = sweep.row(w, c);
-            ++outcome_census[static_cast<std::size_t>(
-                row.outcome)];
             std::vector<std::string> cells{
                 names[w], row.key.configLabel,
-                toString(row.outcome)};
+                row.status.ok() ? "OK" : "FAILED"};
             if (row.status.ok()) {
                 const stl::SimResult &r = row.result;
                 cells.push_back(
@@ -217,13 +213,9 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    std::cout << "\nCell outcomes:";
-    for (std::size_t i = 0; i < outcome_census.size(); ++i)
-        if (outcome_census[i] > 0)
-            std::cout << " "
-                      << toString(
-                             static_cast<sweep::CellOutcome>(i))
-                      << "=" << outcome_census[i];
+    const std::uint64_t failed = sweep.telemetry.failedRuns;
+    std::cout << "\nCells: OK=" << sweep.telemetry.runs - failed
+              << " FAILED=" << failed;
     std::cout
         << "\n\nExpected shape: transient faults cost retries but "
            "lose nothing; adding grown defects loses sectors and "

@@ -8,8 +8,8 @@
 #   tsan     ThreadSanitizer, the concurrency suites
 #            (TaskPool*/SweepRunner*/Telemetry*/IngestReplay* and
 #            the rest of the preset's filter — the sweep runner,
-#            its pool, watchdog, cancellation, checkpoint/resume
-#            paths and the sharded telemetry metrics)
+#            its work-stealing pool, the zoned-device and crash-
+#            recovery grids and the sharded telemetry metrics)
 #
 # The extra mode `bench-smoke` builds the default preset's
 # perf_extent_map / perf_simulator benchmarks and runs them at
@@ -28,7 +28,9 @@
 # asan preset and runs the fault matrix at small scale with an
 # elevated fault rate, writing BENCH_device_faults.smoke.json — so
 # the zoned-device recovery paths (retry, zone resets, degraded
-# reads) execute under ASan+UBSan on every push.
+# reads) execute under ASan+UBSan on every push. Device faults are
+# absorbed as counted partial failures, so any row with "ok": false
+# fails the gate.
 #
 # The extra mode `crash-smoke` builds crash_recovery_bench under
 # the asan preset and runs the reduced crash matrix (power-loss
@@ -115,6 +117,11 @@ run_fault_smoke() {
     build-asan/bench/device_fault_sweep 0.002 \
         --fault-rate=0.01 --jobs=2 \
         --json=BENCH_device_faults.smoke.json
+    if grep '"ok": false' BENCH_device_faults.smoke.json; then
+        echo "==> tier1: fault-smoke has failed cells" >&2
+        exit 1
+    fi
+    echo "==> tier1: fault-smoke every cell ok"
 }
 
 run_crash_smoke() {

@@ -112,11 +112,9 @@ const char *toString(DeviceErrc errc);
 
 /**
  * The canonical StatusCode a DeviceErrc surfaces as:
- * TransientMediaError → Unavailable (retryable), GrownDefect /
- * ZoneOffline / PowerLoss → DataLoss (non-retryable, so sweep
- * retry machinery never re-runs a deterministic crash), TooMany-
- * OpenZones → ResourceExhausted, everything else →
- * FailedPrecondition.
+ * TransientMediaError → Unavailable, GrownDefect / ZoneOffline /
+ * PowerLoss → DataLoss, TooManyOpenZones → ResourceExhausted,
+ * everything else → FailedPrecondition.
  */
 StatusCode statusCodeOf(DeviceErrc errc);
 

@@ -48,10 +48,9 @@ clampToU32(std::uint64_t n)
 } // namespace
 
 ZonedDevice::ZonedDevice(const ZoneLayout &layout,
-                         const ZonedDeviceOptions &options,
-                         CancelToken cancel)
-    : options_(options), zones_(layout), cancel_(std::move(cancel)),
-      rng_(options.faults.seed), errorLog_(options.errorLogCap)
+                         const ZonedDeviceOptions &options)
+    : options_(options), zones_(layout),
+      errorLog_(options.errorLogCap)
 {
     panicIf(options.errorLogCap == 0,
             "ZonedDevice: errorLogCap must be >= 1");
@@ -66,8 +65,6 @@ ZonedDevice::ZonedDevice(const ZoneLayout &layout,
     mediaErrorsGrown_ = &registry.counter(
         "device_media_errors_total", "kind=\"grown\"");
     crashes_ = &registry.counter("device_crashes_total");
-    recoveryLatency_ =
-        &registry.histogram("device_recovery_latency_ns");
 }
 
 void
@@ -120,35 +117,6 @@ ZonedDevice::defectGoesOffline(std::uint64_t sector) const
     return u01(h) < options_.faults.offlineShare;
 }
 
-std::pair<std::uint32_t, bool>
-ZonedDevice::recoverSector(std::uint64_t sector,
-                           std::int32_t required)
-{
-    const telemetry::ScopedTimer timer(recoveryLatency_);
-    // Retries are reported the moment they begin (RetrySession's
-    // contract), so a deadline firing mid-backoff still leaves the
-    // in-flight attempt visible in device_read_retries_total.
-    RetrySession session(
-        options_.recovery, rng_, cancel_, [this](int attempt) {
-            if (attempt > 1)
-                readRetries_->add();
-        });
-    for (;;) {
-        const int attempt = session.beginAttempt();
-        if (required >= 0 && attempt > required)
-            return {static_cast<std::uint32_t>(attempt - 1),
-                    true};
-        if (session.exhausted())
-            return {static_cast<std::uint32_t>(attempt - 1),
-                    false};
-        const Status slept = session.backoff(
-            "device recovery of sector " +
-            std::to_string(sector));
-        if (!slept.ok())
-            throw StatusError(slept);
-    }
-}
-
 void
 ZonedDevice::discoverDefect(std::size_t index,
                             std::uint64_t sector)
@@ -180,6 +148,10 @@ ZonedDevice::readPiece(std::size_t index,
     if (f.transientRate <= 0.0 && f.grownRate <= 0.0)
         return out;
 
+    // Every attempt after the first is a retry: a sector that
+    // recovers spends the retries it needs, one that does not spends
+    // the whole budget.
+    constexpr std::uint32_t kBudget = kReadAttempts - 1;
     for (std::uint64_t sector = piece.start;
          sector < piece.end(); ++sector) {
         // A defect discovered earlier in this very piece may have
@@ -199,9 +171,11 @@ ZonedDevice::readPiece(std::size_t index,
         }
         if (fault == SectorFault::Transient) {
             mediaErrorsTransient_->add();
-            const auto [retries, recovered] = recoverSector(
-                sector, static_cast<std::int32_t>(
-                            requiredRetries(sector)));
+            const std::uint32_t required = requiredRetries(sector);
+            const bool recovered = required <= kBudget;
+            const std::uint32_t retries =
+                recovered ? required : kBudget;
+            readRetries_->add(retries);
             out.retries += retries;
             if (recovered) {
                 ++out.recoveredSectors;
@@ -219,13 +193,11 @@ ZonedDevice::readPiece(std::size_t index,
             }
         } else {
             mediaErrorsGrown_->add();
-            const auto [retries, recovered] =
-                recoverSector(sector, -1);
-            (void)recovered;
-            out.retries += retries;
+            readRetries_->add(kBudget);
+            out.retries += kBudget;
             ++out.failedSectors;
             errorLog_.append(
-                {sector, retries,
+                {sector, kBudget,
                  deviceError(DeviceErrc::GrownDefect,
                              "sector " +
                                  std::to_string(sector) +

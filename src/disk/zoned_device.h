@@ -11,15 +11,14 @@
  * sector is bad is a hash of (seed, sector), never a draw from a
  * shared stream, so the fault set is identical whatever order the
  * sweep visits cells in: equal seeds give equal defect maps across
- * --jobs 1 / --jobs 4 and across checkpoint/resume.
+ * --jobs 1 / --jobs 4.
  *
  * Failure semantics mirror a real drive's: transient bad sectors
- * recover after a bounded number of retried reads (util/retry.h
- * backoff, cancellation-aware so deadlines fire mid-recovery);
- * grown defects never recover and flip their zone READ_ONLY or
- * OFFLINE; reads that exhaust the retry budget surface as counted
- * degraded results — typed partial failures the replay accounts
- * for instead of aborting the cell.
+ * recover after a bounded number of retried reads; grown defects
+ * never recover and flip their zone READ_ONLY or OFFLINE; reads
+ * that exhaust the retry budget surface as counted degraded
+ * results — typed partial failures the replay accounts for instead
+ * of aborting the cell.
  */
 
 #ifndef LOGSEEK_DISK_ZONED_DEVICE_H
@@ -31,10 +30,7 @@
 
 #include "disk/zone.h"
 #include "telemetry/metrics.h"
-#include "util/cancellation.h"
 #include "util/extent.h"
-#include "util/random.h"
-#include "util/retry.h"
 #include "util/status.h"
 
 namespace logseek::disk
@@ -53,8 +49,9 @@ struct DeviceFaultConfig
     /** P(sector needs retries before a read succeeds). */
     double transientRate = 0.0;
 
-    /** A transient sector recovers after 1..maxTransientRetries
-     *  retries (seeded per sector). */
+    /** A transient sector needs 1..maxTransientRetries retries
+     *  (seeded per sector); it recovers only when they fit the
+     *  ZonedDevice::kReadAttempts budget. */
     int maxTransientRetries = 2;
 
     /** P(sector is a persistent grown defect). */
@@ -90,7 +87,7 @@ struct DeviceFaultConfig
  * DataLoss), and every subsequent access fails the same way until
  * the host builds a fresh device and remounts. Like the fault
  * model, the torn length is a pure hash of (seed, op), so equal
- * seeds crash identically across --jobs and checkpoint/resume.
+ * seeds crash identically across --jobs.
  */
 struct CrashSchedule
 {
@@ -132,19 +129,6 @@ struct ZonedDeviceOptions
      * so existing configurations keep their capping behavior.
      */
     std::size_t errorLogCap = 256;
-
-    /**
-     * Read-recovery budget: attempts and backoff for retried
-     * sector reads. Backoff affects wall-clock only, never
-     * results.
-     */
-    RetryPolicy recovery{.maxAttempts = 4,
-                         .initialBackoff =
-                             std::chrono::milliseconds(0),
-                         .multiplier = 2.0,
-                         .maxBackoff =
-                             std::chrono::milliseconds(5),
-                         .jitter = 0.5};
 };
 
 /**
@@ -255,19 +239,25 @@ struct DeviceStats
  * The read/write front over a ZoneSet. Accesses may span any
  * number of zones; the device splits them at zone boundaries and
  * applies per-zone policy. Policy violations and media errors are
- * absorbed into counted, typed results — the only exceptions a
- * device op ever throws are StatusError(Cancelled/DeadlineExceeded)
- * when the cancellation token fires during recovery backoff and
- * StatusError(DataLoss) when the seeded CrashSchedule kills the
- * device (power loss is not a partial result: the run is over).
+ * absorbed into counted, typed results — the only exception a
+ * device op ever throws is StatusError(DataLoss) when the seeded
+ * CrashSchedule kills the device (power loss is not a partial
+ * result: the run is over).
  * Not thread-safe: one device belongs to one replay.
  */
 class ZonedDevice
 {
   public:
+    /**
+     * Read attempts per faulty sector, the first included. A
+     * transient sector needing r retries recovers after r of them
+     * when r < kReadAttempts and fails after kReadAttempts - 1
+     * otherwise; a grown defect fails after kReadAttempts - 1.
+     */
+    static constexpr std::uint32_t kReadAttempts = 4;
+
     ZonedDevice(const ZoneLayout &layout,
-                const ZonedDeviceOptions &options,
-                CancelToken cancel = {});
+                const ZonedDeviceOptions &options);
 
     /** Pre-fill [0, end_sector): the identity region that exists
      *  before the replay starts. */
@@ -275,9 +265,9 @@ class ZonedDevice
 
     /**
      * A media read of `extent`. Traverses the fault model sector
-     * by sector; transient sectors are retried with backoff, and
-     * sectors that exhaust the budget (or hit grown defects /
-     * offline zones) are counted as failed rather than thrown.
+     * by sector; transient sectors are retried, and sectors that
+     * exhaust the budget (or hit grown defects / offline zones)
+     * are counted as failed rather than thrown.
      */
     DeviceReadResult read(const SectorExtent &extent);
 
@@ -319,16 +309,6 @@ class ZonedDevice
     /** True when this grown defect takes the zone OFFLINE. */
     bool defectGoesOffline(std::uint64_t sector) const;
 
-    /**
-     * Run one bounded-recovery episode for a sector.
-     * @param required Retries after which the sector recovers;
-     *        negative means it never does (grown defect).
-     * @return (retries spent, recovered). Throws StatusError when
-     *         cancelled mid-backoff.
-     */
-    std::pair<std::uint32_t, bool>
-    recoverSector(std::uint64_t sector, std::int32_t required);
-
     /** Handle a newly discovered grown defect in zone `index`. */
     void discoverDefect(std::size_t index, std::uint64_t sector);
 
@@ -339,10 +319,6 @@ class ZonedDevice
 
     ZonedDeviceOptions options_;
     ZoneSet zones_;
-    CancelToken cancel_;
-
-    /** Jitter stream for recovery backoff (wall-clock only). */
-    Rng rng_;
 
     /** Grown defects already discovered: later reads fail fast. */
     std::unordered_set<std::uint64_t> knownDefects_;
@@ -366,7 +342,6 @@ class ZonedDevice
     telemetry::Counter *mediaErrorsTransient_;
     telemetry::Counter *mediaErrorsGrown_;
     telemetry::Counter *crashes_;
-    telemetry::LatencyHistogram *recoveryLatency_;
 };
 
 } // namespace logseek::disk

@@ -22,7 +22,7 @@
  *
  * Policies are pure selectors over a read-only SegmentStateView;
  * they mutate nothing and draw no entropy, so every replay remains
- * byte-identical across jobs, shards and checkpoint/resume.
+ * byte-identical across job counts.
  */
 
 #ifndef LOGSEEK_STL_GC_CLEANING_POLICY_H

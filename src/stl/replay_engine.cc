@@ -304,19 +304,17 @@ ReadPipeline::completeRead(const trace::IoRecord &record,
 
 ReplayEngine::ReplayEngine(const SimConfig &config,
                            const trace::Trace &trace,
-                           const std::vector<SimObserver *> &observers,
-                           CancelToken cancel)
+                           const std::vector<SimObserver *> &observers)
     : ReplayEngine(config,
                    std::make_unique<trace::TraceRef>(trace),
-                   observers, std::move(cancel))
+                   observers)
 {
 }
 
 ReplayEngine::ReplayEngine(const SimConfig &config,
                            std::unique_ptr<trace::TraceInput> owned,
-                           const std::vector<SimObserver *> &observers,
-                           CancelToken cancel)
-    : ReplayEngine(config, *owned, observers, std::move(cancel))
+                           const std::vector<SimObserver *> &observers)
+    : ReplayEngine(config, *owned, observers)
 {
     // The delegated ctor stored &*owned in input_; moving the
     // unique_ptr into the member does not relocate the pointee.
@@ -325,10 +323,8 @@ ReplayEngine::ReplayEngine(const SimConfig &config,
 
 ReplayEngine::ReplayEngine(const SimConfig &config,
                            trace::TraceInput &input,
-                           const std::vector<SimObserver *> &observers,
-                           CancelToken cancel)
+                           const std::vector<SimObserver *> &observers)
     : config_(config), input_(&input), observers_(observers),
-      cancel_(std::move(cancel)),
       accounting_(result_, config.seekTime)
 {
     result_.workload = input.name();
@@ -416,7 +412,7 @@ ReplayEngine::ReplayEngine(const SimConfig &config,
         layout.zoneSectors = std::max<SectorCount>(
             1, bytesToSectors(zone_bytes));
         device_ = std::make_unique<disk::ZonedDevice>(
-            layout, *config_.zonedDevice, cancel_);
+            layout, *config_.zonedDevice);
         device_->fillTo(identity_end);
         accounting_.attachDevice(device_.get());
     }
@@ -459,12 +455,6 @@ ReplayEngine::run()
         const std::size_t n = input_->next(batch_, kPullSize);
         if (n == 0)
             break;
-        // Cooperative cancellation: polled at every pull and every
-        // kCancelCheckInterval records, so an over-deadline replay
-        // unwinds within microseconds with all layer invariants
-        // intact.
-        if (cancel_.cancelled())
-            throwCancelled();
 
         // The telemetry switch is sampled once per pull: the
         // media-only fast path skips the pipeline (and with it the
@@ -474,8 +464,6 @@ ReplayEngine::run()
             mediaOnly_ && !telemetry::enabled();
 
         for (std::size_t k = 0; k < n; ++k, ++op) {
-            if (op % kCancelCheckInterval == 0 && cancel_.cancelled())
-                throwCancelled();
             event_.reset();
             event_.opIndex = op;
             event_.record = batch_.record(k);
@@ -511,13 +499,6 @@ ReplayEngine::run()
                   input_->name() + "': " + fsck.toString());
     }
     return std::move(result_);
-}
-
-void
-ReplayEngine::throwCancelled()
-{
-    throw StatusError(cancel_.toStatus("replay of trace '" +
-                                       input_->name() + "'"));
 }
 
 void

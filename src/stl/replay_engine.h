@@ -33,7 +33,6 @@
 #include "trace/input.h"
 #include "trace/io_batch.h"
 #include "trace/trace.h"
-#include "util/cancellation.h"
 
 namespace logseek::stl
 {
@@ -61,34 +60,22 @@ class ReplayEngine
      * @param observers Observers notified once per logical request,
      *        in trace order, as soon as the request has been served;
      *        not owned.
-     * @param cancel Cooperative cancellation token, polled at every
-     *        pull and every kCancelCheckInterval records; default
-     *        never fires.
      */
     ReplayEngine(const SimConfig &config, trace::TraceInput &input,
-                 const std::vector<SimObserver *> &observers,
-                 CancelToken cancel = {});
+                 const std::vector<SimObserver *> &observers);
 
     /** Convenience overload replaying an in-RAM trace (wraps it in
      *  an engine-owned TraceRef). */
     ReplayEngine(const SimConfig &config, const trace::Trace &trace,
-                 const std::vector<SimObserver *> &observers,
-                 CancelToken cancel = {});
+                 const std::vector<SimObserver *> &observers);
 
     ~ReplayEngine();
 
     ReplayEngine(const ReplayEngine &) = delete;
     ReplayEngine &operator=(const ReplayEngine &) = delete;
 
-    /**
-     * Replay the whole trace and return the aggregate result.
-     * @throws StatusError (Cancelled or DeadlineExceeded) when the
-     *         cancellation token fires mid-replay.
-     */
+    /** Replay the whole trace and return the aggregate result. */
     SimResult run();
-
-    /** Records between cancellation checks in run(). */
-    static constexpr std::uint64_t kCancelCheckInterval = 64;
 
     /** Records pulled from the input per TraceInput::next call. */
     static constexpr std::size_t kPullSize = 256;
@@ -101,8 +88,7 @@ class ReplayEngine
      *  to keep the owned TraceRef alive for the engine's life. */
     ReplayEngine(const SimConfig &config,
                  std::unique_ptr<trace::TraceInput> owned,
-                 const std::vector<SimObserver *> &observers,
-                 CancelToken cancel);
+                 const std::vector<SimObserver *> &observers);
 
     /**
      * Serve event_'s read. `fast_media_only` short-circuits the
@@ -121,9 +107,6 @@ class ReplayEngine
      */
     void runMaintenance();
 
-    /** Throw the cancellation status for this replay. */
-    [[noreturn]] void throwCancelled();
-
     /** Emit one aggregate trace span per read stage (end of run). */
     void emitStageSpans();
 
@@ -137,7 +120,6 @@ class ReplayEngine
     trace::TraceInput *input_;
 
     std::vector<SimObserver *> observers_;
-    CancelToken cancel_;
 
     SimResult result_;
     Accounting accounting_;

@@ -167,7 +167,7 @@ class SegmentJournal
      * up to the last frame was flushed; of the in-flight last
      * frame, a seeded prefix reached the media. The cut point is a
      * pure hash of (seed, image size), so equal seeds tear
-     * identically across --jobs and checkpoint/resume. The torn
+     * identically across --jobs. The torn
      * frame can come out empty (clean boundary — the op missed the
      * media entirely) or whole (the op was flushed just in time);
      * anything in between is the classic torn tail.

@@ -124,24 +124,23 @@ Simulator::run(trace::TraceInput &input)
 }
 
 StatusOr<SimResult>
-Simulator::tryRun(const trace::Trace &trace, CancelToken cancel)
+Simulator::tryRun(const trace::Trace &trace)
 {
     trace::TraceRef ref(trace);
-    return tryRun(ref, std::move(cancel));
+    return tryRun(ref);
 }
 
 StatusOr<SimResult>
-Simulator::tryRun(trace::TraceInput &input, CancelToken cancel)
+Simulator::tryRun(trace::TraceInput &input)
 {
     Status valid = validateInput(input);
     if (!valid.ok())
         return valid;
     try {
-        return replay(input, cancel);
+        return replay(input);
     } catch (const StatusError &e) {
-        // Cooperative cancellation (or another typed failure) from
-        // inside the replay loop: pass the Status through intact so
-        // callers can tell DeadlineExceeded from Cancelled.
+        // A typed failure from inside the replay loop (such as a
+        // scheduled power loss): pass the Status through intact.
         return e.status();
     } catch (const PanicError &e) {
         return internalError("replay of trace '" + input.name() +
@@ -154,10 +153,9 @@ Simulator::tryRun(trace::TraceInput &input, CancelToken cancel)
 }
 
 SimResult
-Simulator::replay(trace::TraceInput &input,
-                  const CancelToken &cancel)
+Simulator::replay(trace::TraceInput &input)
 {
-    ReplayEngine engine(config_, input, observers_, cancel);
+    ReplayEngine engine(config_, input, observers_);
     return engine.run();
 }
 

@@ -33,7 +33,6 @@
 #include "stl/translation_layer.h"
 #include "trace/input.h"
 #include "trace/trace.h"
-#include "util/cancellation.h"
 #include "util/status.h"
 
 namespace logseek::stl
@@ -346,12 +345,11 @@ class Simulator
      * (InvalidArgument on a malformed record), then replays it,
      * converting any escaped FatalError into InvalidArgument and
      * any PanicError into Internal so one bad trace cannot take
-     * down a batch sweep. A fired cancellation token surfaces as
-     * Cancelled or DeadlineExceeded; the replay unwinds at its next
-     * cancellation check and no partial result is returned.
+     * down a batch sweep. A StatusError thrown mid-replay (such as
+     * a scheduled power loss) surfaces with its Status intact; no
+     * partial result is returned.
      */
-    StatusOr<SimResult> tryRun(const trace::Trace &trace,
-                               CancelToken cancel = {});
+    StatusOr<SimResult> tryRun(const trace::Trace &trace);
 
     /**
      * As tryRun(const Trace &), for any record stream. The
@@ -359,8 +357,7 @@ class Simulator
      * is pulled twice end to end; for identical record sequences
      * the SimResult is byte-identical to the in-RAM overload.
      */
-    StatusOr<SimResult> tryRun(trace::TraceInput &input,
-                               CancelToken cancel = {});
+    StatusOr<SimResult> tryRun(trace::TraceInput &input);
 
     /**
      * Check that a trace is replayable: every record has a
@@ -377,8 +374,7 @@ class Simulator
 
   private:
     /** Builds a per-run ReplayEngine and replays the stream. */
-    SimResult replay(trace::TraceInput &input,
-                     const CancelToken &cancel);
+    SimResult replay(trace::TraceInput &input);
 
     SimConfig config_;
     std::vector<SimObserver *> observers_;

@@ -23,7 +23,7 @@
  *    record prefix.
  *
  * Everything is seeded: equal seeds produce equal torn images,
- * digests and mount stats across --jobs and checkpoint/resume.
+ * digests and mount stats across --jobs.
  */
 
 #ifndef LOGSEEK_STL_TESTING_CRASH_HARNESS_H

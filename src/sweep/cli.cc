@@ -1,7 +1,6 @@
 #include "cli.h"
 
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -109,10 +108,6 @@ BenchCli::sweepOptions(ObserverFactory extra) const
     SweepOptions options;
     options.jobs = resolvedJobs();
     options.observerFactory = observerFactory(std::move(extra));
-    options.cellDeadline = std::chrono::milliseconds(deadlineMs);
-    options.retry.maxAttempts = retries + 1;
-    options.checkpointPath = checkpointPath;
-    options.resumePath = resumePath;
 
     // --convert-out exports the first workload's trace once it is
     // loaded, in the --trace-format (or extension-implied) format.
@@ -182,8 +177,7 @@ benchUsage(const std::string &name)
 {
     return name +
            " [scale] [seed] [--jobs N|auto] [--json[=path]] "
-           "[--csv[=path]] [--paranoid] [--deadline-ms N] "
-           "[--retries N] [--checkpoint path] [--resume path] "
+           "[--csv[=path]] [--paranoid] "
            "[--metrics-out file] [--trace-out file] "
            "[--fault-rate R] [--bad-sector-seed N] "
            "[--max-open-zones N] [--error-log-cap N] "
@@ -211,14 +205,6 @@ benchHelp(const std::string &name)
         "'-' = stdout)\n"
         "  --paranoid           replay under a paranoid "
         "validating observer\n"
-        "  --deadline-ms N      per-cell replay deadline in "
-        "milliseconds (0 = off)\n"
-        "  --retries N          retries allowed per retryable "
-        "failure [0, 1000]\n"
-        "  --checkpoint path    append completed cells to a "
-        "CRC-guarded checkpoint\n"
-        "  --resume path        restore completed cells from a "
-        "checkpoint\n"
         "  --metrics-out file   write a telemetry metrics "
         "snapshot after the sweep\n"
         "                       (.prom/.txt = Prometheus text, "
@@ -258,8 +244,6 @@ benchFlagNames()
 {
     return {"--jobs",          "--json",
             "--csv",           "--paranoid",
-            "--deadline-ms",   "--retries",
-            "--checkpoint",    "--resume",
             "--metrics-out",   "--trace-out",
             "--fault-rate",    "--bad-sector-seed",
             "--max-open-zones", "--error-log-cap",
@@ -332,41 +316,6 @@ tryParseBenchCli(int argc, char **argv, double default_scale)
                         *value);
                 cli.jobs = static_cast<int>(jobs.value());
             }
-        } else if (matches("--deadline-ms")) {
-            if (!value)
-                return invalidArgumentError(
-                    "--deadline-ms requires a value");
-            StatusOr<long long> deadline =
-                parseIntArg("--deadline-ms", *value);
-            if (!deadline.ok())
-                return deadline.status();
-            if (deadline.value() < 0)
-                return invalidArgumentError(
-                    "--deadline-ms must be >= 0: got " + *value);
-            cli.deadlineMs = deadline.value();
-        } else if (matches("--retries")) {
-            if (!value)
-                return invalidArgumentError(
-                    "--retries requires a value");
-            StatusOr<long long> retries =
-                parseIntArg("--retries", *value);
-            if (!retries.ok())
-                return retries.status();
-            if (retries.value() < 0 || retries.value() > 1000)
-                return invalidArgumentError(
-                    "--retries must be in [0, 1000]: got " +
-                    *value);
-            cli.retries = static_cast<int>(retries.value());
-        } else if (matches("--checkpoint")) {
-            if (!value || value->empty())
-                return invalidArgumentError(
-                    "--checkpoint requires a path");
-            cli.checkpointPath = std::move(*value);
-        } else if (matches("--resume")) {
-            if (!value || value->empty())
-                return invalidArgumentError(
-                    "--resume requires a path");
-            cli.resumePath = std::move(*value);
         } else if (matches("--metrics-out")) {
             if (!value || value->empty())
                 return invalidArgumentError(

@@ -5,28 +5,28 @@
  * Every figure/ablation binary takes the same surface:
  *
  *   harness [scale] [seed] [--jobs N|auto] [--json[=path]]
- *           [--csv[=path]] [--paranoid] [--deadline-ms N]
- *           [--retries N] [--checkpoint path] [--resume path]
+ *           [--csv[=path]] [--paranoid]
  *           [--metrics-out file] [--trace-out file]
  *           [--fault-rate R] [--bad-sector-seed N]
- *           [--max-open-zones N] [--error-log-cap N] [--help]
+ *           [--max-open-zones N] [--error-log-cap N]
+ *           [--log-capacity N] [--segment-bytes N]
+ *           [--clean-reserve N] [--trace-format F]
+ *           [--convert-out file] [--help]
  *
  * scale/seed feed the synthetic workload profiles; --jobs sets the
  * sweep worker count ("auto" = hardware concurrency; 0 and negative
  * values are rejected); --json/--csv emit the uniform machine-
  * readable report next to the human-readable tables (default path
  * "-" = stdout); --paranoid replays every run under a fresh
- * ValidatingObserver in paranoid mode. The fault-tolerance flags
- * map onto SweepOptions: --deadline-ms bounds each cell's replay,
- * --retries N allows N retries of retryable failures, --checkpoint
- * appends completed cells to a CRC-guarded file and --resume
- * restores them. The observability flags arm the telemetry
- * subsystem (off, and costing nothing, by default): --metrics-out
- * writes a metrics snapshot after the sweep (.prom/.txt selects
- * Prometheus text, anything else JSON) and --trace-out writes a
- * Chrome trace_event JSON file of the sweep's spans. All numeric
- * arguments are validated strictly — a malformed value is a typed
- * InvalidArgument error, never a silent default.
+ * ValidatingObserver in paranoid mode. The observability flags arm
+ * the telemetry subsystem (off, and costing nothing, by default):
+ * --metrics-out writes a metrics snapshot after the sweep
+ * (.prom/.txt selects Prometheus text, anything else JSON) and
+ * --trace-out writes a Chrome trace_event JSON file of the sweep's
+ * spans. The device and finite-log flags feed the benches that
+ * model them. All numeric arguments are validated strictly — a
+ * malformed value is a typed InvalidArgument error, never a silent
+ * default; an unknown flag is an error too.
  */
 
 #ifndef LOGSEEK_SWEEP_CLI_H
@@ -60,20 +60,6 @@ struct BenchCli
     /** Report destinations; "-" means stdout. */
     std::optional<std::string> jsonPath;
     std::optional<std::string> csvPath;
-
-    /** Per-cell replay deadline in ms (--deadline-ms; 0 = off). */
-    long long deadlineMs = 0;
-
-    /** Retries allowed per retryable failure (--retries; the cell
-     *  gets retries + 1 attempts in total). */
-    int retries = 0;
-
-    /** Checkpoint file appended as cells complete (--checkpoint);
-     *  empty = off. */
-    std::string checkpointPath;
-
-    /** Checkpoint to resume from (--resume); empty = off. */
-    std::string resumePath;
 
     /** Metrics snapshot destination (--metrics-out); empty = off,
      *  "-" = stdout, .prom/.txt = Prometheus text, else JSON. */
@@ -147,10 +133,9 @@ struct BenchCli
     observerFactory(ObserverFactory extra = nullptr) const;
 
     /**
-     * SweepOptions reflecting every parsed flag: jobs, observers,
-     * deadline, retry policy and checkpoint/resume paths. With
-     * --convert-out it pre-installs an onTrace hook that exports
-     * the first workload's trace in the --trace-format (or
+     * SweepOptions reflecting the parsed jobs and observer flags.
+     * With --convert-out it pre-installs an onTrace hook that
+     * exports the first workload's trace in the --trace-format (or
      * extension-implied) format, so benches that install their
      * own onTrace hook must chain the existing one:
      *
@@ -161,8 +146,7 @@ struct BenchCli
      *       ...
      *   };
      *
-     * Also
-     * arms the telemetry subsystem (enables collection, installs
+     * Also arms the telemetry subsystem (enables collection, installs
      * the process-wide trace writer) when --metrics-out or
      * --trace-out was given; telemetry stays disabled otherwise.
      */

@@ -143,10 +143,6 @@ writeJson(std::ostream &out, const SweepResult &sweep,
             << ", \"replaySec\": " << formatExact(t.replaySec)
             << ", \"runs\": " << t.runs
             << ", \"failedRuns\": " << t.failedRuns
-            << ", \"retriedRuns\": " << t.retriedRuns
-            << ", \"timedOutRuns\": " << t.timedOutRuns
-            << ", \"skippedRuns\": " << t.skippedRuns
-            << ", \"restoredRuns\": " << t.restoredRuns
             << ", \"ops\": " << t.ops
             << ", \"opsPerSec\": " << formatExact(t.opsPerSec())
             << ", \"steals\": " << t.steals << "}";
@@ -157,9 +153,7 @@ writeJson(std::ostream &out, const SweepResult &sweep,
         out << "    {\"workload\": \""
             << jsonEscape(row.key.workload) << "\", \"config\": \""
             << jsonEscape(row.key.configLabel) << "\", \"ok\": "
-            << (row.status.ok() ? "true" : "false")
-            << ", \"outcome\": \"" << toString(row.outcome)
-            << "\", \"attempts\": " << row.attempts;
+            << (row.status.ok() ? "true" : "false");
         if (!row.status.ok())
             out << ", \"error\": \""
                 << jsonEscape(row.status.message()) << '"';
@@ -182,7 +176,7 @@ void
 writeCsv(std::ostream &out, const SweepResult &sweep,
          bool with_telemetry)
 {
-    out << "workload,config,ok,outcome,attempts,error,ops";
+    out << "workload,config,ok,error,ops";
     // Column names come from an empty result: the field list is
     // static.
     for (const Field &field : resultFields(stl::SimResult{}))
@@ -195,7 +189,6 @@ writeCsv(std::ostream &out, const SweepResult &sweep,
         out << csvQuote(row.key.workload) << ','
             << csvQuote(row.key.configLabel) << ','
             << (row.status.ok() ? "true" : "false") << ','
-            << toString(row.outcome) << ',' << row.attempts << ','
             << csvQuote(row.status.ok() ? ""
                                         : row.status.message())
             << ',' << row.ops;

@@ -19,7 +19,6 @@
 #ifndef LOGSEEK_SWEEP_SWEEP_RUNNER_H
 #define LOGSEEK_SWEEP_SWEEP_RUNNER_H
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -30,8 +29,6 @@
 #include "stl/simulator.h"
 #include "trace/input.h"
 #include "trace/trace.h"
-#include "util/cancellation.h"
-#include "util/retry.h"
 #include "util/status.h"
 #include "workloads/profiles.h"
 
@@ -122,26 +119,6 @@ struct ConfigSpec
             make);
 };
 
-/**
- * How one sweep cell ended — the failure taxonomy surfaced in
- * reports. Ok and RetriedOk are the success states; the rest say
- * why the cell has no result.
- */
-enum class CellOutcome : std::uint8_t
-{
-    Ok = 0,   ///< succeeded on the first attempt
-    RetriedOk, ///< succeeded after >= 1 retried transient fault
-    Failed,    ///< permanent error (bad trace, internal bug, ...)
-    TimedOut,  ///< the per-cell deadline expired mid-replay
-    Skipped,   ///< never ran: the sweep was cancelled first
-};
-
-/** Printable name of a CellOutcome ("OK", "RETRIED_OK", ...). */
-const char *toString(CellOutcome outcome);
-
-/** The outcome a (possibly failed) Status classifies to. */
-CellOutcome classifyOutcome(const Status &status, int attempts);
-
 /** Identity of one run within the sweep grid. */
 struct RunKey
 {
@@ -166,19 +143,13 @@ struct RunRow
 {
     RunKey key;
 
-    /** ok() if the run completed; the failure reason otherwise. */
+    /**
+     * ok() if the run completed; otherwise the error the replay or
+     * the workload's loader raised. Each cell runs once: a replay
+     * is deterministic, so running it again would fail the same
+     * way.
+     */
     Status status;
-
-    /** Taxonomy of how the cell ended; consistent with status. */
-    CellOutcome outcome = CellOutcome::Ok;
-
-    /** Attempts spent on the cell (trace load + replay); > 1 means
-     *  a transient fault was retried. */
-    int attempts = 1;
-
-    /** True when the cell was restored from a resume checkpoint
-     *  instead of being replayed. */
-    bool restored = false;
 
     /** Aggregate replay results; valid only when status is ok. */
     stl::SimResult result;
@@ -234,19 +205,6 @@ struct SweepTelemetry
     /** Tasks the pool's idle workers stole. */
     std::uint64_t steals = 0;
 
-    /** Cells that succeeded only after retrying a transient
-     *  fault (outcome RETRIED_OK). */
-    std::uint64_t retriedRuns = 0;
-
-    /** Cells whose per-cell deadline expired (TIMED_OUT). */
-    std::uint64_t timedOutRuns = 0;
-
-    /** Cells never run because the sweep was cancelled (SKIPPED). */
-    std::uint64_t skippedRuns = 0;
-
-    /** Cells restored from a resume checkpoint, not replayed. */
-    std::uint64_t restoredRuns = 0;
-
     /** Aggregate replay throughput over the sweep's wall-clock. */
     double
     opsPerSec() const
@@ -300,65 +258,18 @@ struct SweepOptions
         onTrace;
 
     /**
-     * Per-cell replay deadline; a cell whose replay overstays it is
-     * cooperatively cancelled and reported TIMED_OUT. Zero (the
-     * default) disables deadlines. Covers the replay only, not
-     * trace loading or config construction.
-     */
-    std::chrono::milliseconds cellDeadline{0};
-
-    /**
-     * Retry policy for retryable (Unavailable) failures of trace
-     * loading or cell execution. The default (maxAttempts = 1)
-     * disables retry.
-     */
-    RetryPolicy retry;
-
-    /** Seed for the per-cell backoff jitter streams; equal seeds
-     *  give equal backoff schedules. */
-    std::uint64_t retrySeed = 0x10f5eec5u;
-
-    /**
-     * Path of the checkpoint file appended to (atomically, via
-     * temp + rename) as cells complete successfully; empty
-     * disables checkpointing.
-     */
-    std::string checkpointPath;
-
-    /**
-     * Path of a checkpoint to resume from: cells recorded there
-     * are restored instead of replayed, byte-identically. Damage
-     * (torn tail, bad CRC, duplicate cells) is warned about once
-     * and only the damaged cells are recomputed. A missing file is
-     * also just a warning — the sweep runs in full.
-     */
-    std::string resumePath;
-
-    /**
-     * Sweep-wide cancellation: once fired, cells not yet started
-     * finish as SKIPPED and in-flight replays unwind at their next
-     * cancellation check.
-     */
-    CancelToken cancel;
-
-    /**
      * Test/progress hook called on the worker right after a cell
-     * actually executed (any outcome; restored cells are not
-     * reported). May run concurrently with itself.
+     * finished, whether it succeeded or failed. May run
+     * concurrently with itself.
      */
     std::function<void(const RunRow &row)> onCellComplete;
-
 };
-
-struct CellRecord; // sweep/checkpoint.h
 
 /**
  * Runs a (workload × config) sweep on a work-stealing pool. Each
  * trace is loaded once and shared read-only; each cell gets a
  * fresh Simulator and fresh observers. Row order — and every
- * simulation field in it — is independent of the job count, and
- * (via checkpoint/resume) of how many separate invocations the
- * sweep took.
+ * simulation field in it — is independent of the job count.
  */
 class SweepRunner
 {
@@ -371,12 +282,13 @@ class SweepRunner
     SweepResult run();
 
   private:
-    /** The durable form of a completed row. */
-    static CellRecord recordOf(const RunRow &row);
+    /** Load workload w's trace and run the onTrace hook on it. */
+    std::shared_ptr<const trace::TraceSource>
+    loadWorkload(std::size_t w) const;
 
-    /** Apply options_.resumePath to the pre-sized grid: restore
-     *  intact cells, warn once about any damage. */
-    void restoreFromCheckpoint(SweepResult &out);
+    /** Replay one cell of a loaded workload into `row`. */
+    Status replayCell(const trace::TraceSource &source,
+                      RunRow &row) const;
 
     std::vector<WorkloadSpec> workloads_;
     std::vector<ConfigSpec> configs_;

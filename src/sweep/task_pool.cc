@@ -39,8 +39,6 @@ TaskPool::TaskPool(unsigned workers)
     stealsTotal_ = &registry.counter("sweep_steals_total");
     exceptionsTotal_ =
         &registry.counter("sweep_task_exceptions_total");
-    watchdogsTotal_ =
-        &registry.counter("sweep_watchdog_fired_total");
 
     const std::size_t count = std::max(1u, workers);
     workers_.reserve(count);
@@ -61,16 +59,6 @@ TaskPool::~TaskPool()
     workCv_.notify_all();
     for (auto &thread : threads_)
         thread.join();
-
-    // The watchdog outlives the workers so a deadline armed by the
-    // very last task can still fire; only now is it safe to stop.
-    {
-        std::lock_guard<std::mutex> lock(watchMutex_);
-        watchStop_ = true;
-    }
-    watchCv_.notify_all();
-    if (watchThread_.joinable())
-        watchThread_.join();
 }
 
 void
@@ -189,75 +177,6 @@ TaskPool::workerLoop(std::size_t self)
                      [this] { return stop_ || anyQueued(); });
         if (stop_ && !anyQueued())
             return;
-    }
-}
-
-TaskPool::WatchId
-TaskPool::armWatchdog(std::chrono::steady_clock::time_point deadline,
-                      std::function<void()> on_expire)
-{
-    std::lock_guard<std::mutex> lock(watchMutex_);
-    const WatchId id = nextWatchId_++;
-    watches_.emplace(id, Watch{deadline, std::move(on_expire)});
-    // The watchdog thread is started lazily: sweeps without
-    // deadlines never pay for it.
-    if (!watchThread_.joinable())
-        watchThread_ = std::thread([this] { watchdogLoop(); });
-    watchCv_.notify_one();
-    return id;
-}
-
-void
-TaskPool::disarmWatchdog(WatchId id)
-{
-    std::lock_guard<std::mutex> lock(watchMutex_);
-    watches_.erase(id);
-    watchCv_.notify_one();
-}
-
-void
-TaskPool::watchdogLoop()
-{
-    std::unique_lock<std::mutex> lock(watchMutex_);
-    while (!watchStop_) {
-        if (watches_.empty()) {
-            watchCv_.wait(lock, [this] {
-                return watchStop_ || !watches_.empty();
-            });
-            continue;
-        }
-        auto earliest = watches_.begin();
-        for (auto it = std::next(earliest);
-             it != watches_.end(); ++it)
-            if (it->second.deadline < earliest->second.deadline)
-                earliest = it;
-        const auto when = earliest->second.deadline;
-        if (std::chrono::steady_clock::now() < when) {
-            // Woken early by an arm/disarm or the deadline set
-            // changing; loop to re-evaluate the earliest watch.
-            watchCv_.wait_until(lock, when);
-            continue;
-        }
-
-        std::vector<std::function<void()>> expired;
-        const auto now = std::chrono::steady_clock::now();
-        for (auto it = watches_.begin(); it != watches_.end();) {
-            if (it->second.deadline <= now) {
-                expired.push_back(std::move(it->second.onExpire));
-                it = watches_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        // Callbacks run outside the lock so they may arm or disarm
-        // other watches without deadlocking.
-        lock.unlock();
-        for (auto &on_expire : expired) {
-            watchdogsFired_.fetch_add(1);
-            watchdogsTotal_->add();
-            on_expire();
-        }
-        lock.lock();
     }
 }
 

@@ -14,13 +14,11 @@
 #define LOGSEEK_SWEEP_TASK_POOL_H
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -37,20 +35,10 @@ namespace logseek::sweep
  * stores a Status per run); a task that does throw is contained —
  * the exception is swallowed, counted in taskExceptionCount(), and
  * the pool keeps running and destructs cleanly.
- *
- * The pool also hosts a lazily-started watchdog thread: armWatchdog
- * schedules a callback at a steady-clock deadline, which the sweep
- * runner uses to fire a per-cell CancelSource when a replay
- * overstays its deadline. Callbacks run on the watchdog thread and
- * must be quick and non-blocking (firing a cancellation flag is the
- * intended use).
  */
 class TaskPool
 {
   public:
-    /** Handle for a pending watchdog; see armWatchdog. */
-    using WatchId = std::uint64_t;
-
     /** @param workers Worker-thread count; clamped to >= 1. */
     explicit TaskPool(unsigned workers);
 
@@ -71,18 +59,6 @@ class TaskPool
     /** Block until every submitted task (and its spawns) ran. */
     void wait();
 
-    /**
-     * Schedule on_expire to run (on the watchdog thread) once
-     * `deadline` passes, unless disarmed first. The callback may
-     * still fire concurrently with a disarm that loses the race, so
-     * it must be idempotent — cancelling a CancelSource is.
-     */
-    WatchId armWatchdog(std::chrono::steady_clock::time_point deadline,
-                        std::function<void()> on_expire);
-
-    /** Cancel a pending watchdog; a no-op if it already fired. */
-    void disarmWatchdog(WatchId id);
-
     std::size_t workerCount() const { return workers_.size(); }
 
     /** Tasks that ran on a worker other than the one they were
@@ -95,23 +71,11 @@ class TaskPool
         return taskExceptions_.load();
     }
 
-    /** Watchdogs that expired and ran their callback. */
-    std::uint64_t watchdogFiredCount() const
-    {
-        return watchdogsFired_.load();
-    }
-
   private:
     struct Worker
     {
         std::deque<std::function<void()>> queue;
         std::mutex mutex;
-    };
-
-    struct Watch
-    {
-        std::chrono::steady_clock::time_point deadline;
-        std::function<void()> onExpire;
     };
 
     void workerLoop(std::size_t self);
@@ -120,8 +84,6 @@ class TaskPool
     bool runOneTask(std::size_t self);
 
     bool anyQueued();
-
-    void watchdogLoop();
 
     std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> threads_;
@@ -136,14 +98,6 @@ class TaskPool
     std::atomic<std::uint64_t> steals_{0};
     std::atomic<std::uint64_t> taskExceptions_{0};
 
-    std::mutex watchMutex_;
-    std::condition_variable watchCv_;
-    std::map<WatchId, Watch> watches_; // guarded by watchMutex_
-    WatchId nextWatchId_ = 1;          // guarded by watchMutex_
-    bool watchStop_ = false;           // guarded by watchMutex_
-    std::thread watchThread_;          // guarded by watchMutex_
-    std::atomic<std::uint64_t> watchdogsFired_{0};
-
     // Telemetry handles, resolved once at construction. The queue
     // depth gauge tracks pending_ and is updated under workMutex_;
     // the counters are self-gated and wait-free.
@@ -151,7 +105,6 @@ class TaskPool
     telemetry::Counter *tasksTotal_;
     telemetry::Counter *stealsTotal_;
     telemetry::Counter *exceptionsTotal_;
-    telemetry::Counter *watchdogsTotal_;
 };
 
 /** The thread-local index of the current pool worker, if any. */

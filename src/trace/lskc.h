@@ -20,8 +20,8 @@
  *
  * All integers little-endian; every section starts at a
  * kLskcSectionAlign-aligned offset so the extent column can be
- * reinterpreted in place. The CRC framing follows the LCKP
- * checkpoint convention (util/checkpoint.h): nothing in the file
+ * reinterpreted in place. The CRC follows the LCKP framing
+ * convention (util/checkpoint.h): nothing in the file
  * is trusted until its checksum verifies, so truncation, torn
  * writes and bit flips surface as typed DataLoss errors at open —
  * never as a crash or a silently wrong replay (the fault-sweep

@@ -2,10 +2,7 @@
 
 #include <array>
 #include <bit>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 
 // The slice-by-16 CRC kernel folds raw 32-bit loads into the
 // state, which is only the IEEE byte-order-free CRC on a
@@ -201,82 +198,6 @@ parseCheckpoint(std::string_view bytes)
         pos = frame + kFrameHeaderBytes + length;
     }
     return out;
-}
-
-StatusOr<CheckpointLoad>
-loadCheckpoint(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        const int saved_errno = errno;
-        return notFoundError("cannot open checkpoint: " + path +
-                             ": " + std::strerror(saved_errno));
-    }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    if (in.bad())
-        return unavailableError("cannot read checkpoint: " + path);
-    return parseCheckpoint(bytes);
-}
-
-CheckpointWriter::CheckpointWriter(std::string path)
-    : path_(std::move(path))
-{
-}
-
-void
-CheckpointWriter::seed(std::vector<std::string> records)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    records_ = std::move(records);
-}
-
-Status
-CheckpointWriter::append(std::string payload)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    records_.push_back(std::move(payload));
-    return publishLocked();
-}
-
-std::size_t
-CheckpointWriter::recordCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return records_.size();
-}
-
-Status
-CheckpointWriter::publishLocked()
-{
-    std::string image;
-    for (const std::string &record : records_)
-        appendCheckpointFrame(image, record);
-
-    const std::string tmp = path_ + ".tmp";
-    {
-        std::ofstream out(tmp,
-                          std::ios::binary | std::ios::trunc);
-        if (!out) {
-            const int saved_errno = errno;
-            return unavailableError(
-                "cannot create checkpoint temp: " + tmp + ": " +
-                std::strerror(saved_errno));
-        }
-        out.write(image.data(),
-                  static_cast<std::streamsize>(image.size()));
-        out.flush();
-        if (!out)
-            return unavailableError(
-                "checkpoint write failed: " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-        const int saved_errno = errno;
-        return unavailableError(
-            "cannot publish checkpoint: " + path_ + ": " +
-            std::strerror(saved_errno));
-    }
-    return Status();
 }
 
 } // namespace logseek

@@ -1,34 +1,30 @@
 /**
  * @file
- * CRC-guarded, atomically-published checkpoint files.
+ * CRC-guarded record framing.
  *
- * A checkpoint is a flat sequence of framed records:
+ * A framed image is a flat sequence of records:
  *
  *   frame = magic "LCKP" (4 bytes)
  *           payloadLen   u32 little-endian
  *           crc32        u32 little-endian, IEEE CRC-32 of payload
  *           payload      payloadLen bytes
  *
- * The reader never trusts the file: a frame whose CRC or length
+ * The reader never trusts the image: a frame whose CRC or length
  * does not check out is skipped by scanning forward to the next
  * magic (so one flipped bit loses one record, not the tail of the
- * file), and a file that ends inside a frame — the classic torn
- * write — is truncated to its last whole record. The writer keeps
- * the full record set and publishes every append by rewriting a
- * temporary file and renaming it over the target, so readers (and
- * crashes) only ever observe a complete, self-consistent file.
+ * image), and an image that ends inside a frame — the classic torn
+ * write — is truncated to its last whole record. SegmentJournal
+ * frames its records this way, and the LSKC trace format guards its
+ * sections with the same CRC-32.
  */
 
 #ifndef LOGSEEK_UTIL_CHECKPOINT_H
 #define LOGSEEK_UTIL_CHECKPOINT_H
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "util/status.h"
 
 namespace logseek
 {
@@ -55,20 +51,20 @@ class Crc32
     std::uint32_t state_ = 0xffffffffu;
 };
 
-/** Append one framed record to an in-memory file image. */
+/** Append one framed record to an in-memory image. */
 void appendCheckpointFrame(std::string &out,
                            std::string_view payload);
 
-/** What a (possibly damaged) checkpoint file parsed to. */
+/** What a (possibly damaged) framed image parsed to. */
 struct CheckpointLoad
 {
-    /** Payloads of every intact frame, in file order. */
+    /** Payloads of every intact frame, in image order. */
     std::vector<std::string> records;
 
     /** Frames dropped because their length or CRC was wrong. */
     std::uint64_t damagedFrames = 0;
 
-    /** True when the file ended inside a frame (torn tail). */
+    /** True when the image ended inside a frame (torn tail). */
     bool tornTail = false;
 
     /** Bytes not accounted for by an intact frame. */
@@ -80,51 +76,9 @@ struct CheckpointLoad
     }
 };
 
-/** Parse an in-memory checkpoint image; never fails — damage is
+/** Parse an in-memory framed image; never fails — damage is
  *  reported in the result. */
 CheckpointLoad parseCheckpoint(std::string_view bytes);
-
-/** Load and parse a checkpoint file; NotFound when it does not
- *  exist, Unavailable when it cannot be read. */
-StatusOr<CheckpointLoad> loadCheckpoint(const std::string &path);
-
-/**
- * Append-style checkpoint writer with atomic publication. Appends
- * are serialized internally, so sweep workers can call append()
- * concurrently as cells complete.
- */
-class CheckpointWriter
-{
-  public:
-    explicit CheckpointWriter(std::string path);
-
-    /**
-     * Start from already-validated records (resume): they are
-     * re-framed and included in every subsequent publication,
-     * physically dropping any damaged frames the load skipped.
-     */
-    void seed(std::vector<std::string> records);
-
-    /**
-     * Add one record and publish the whole file atomically
-     * (write temp, flush, rename). Returns Unavailable on an I/O
-     * failure; the in-memory record set keeps the record either
-     * way, so a later append can still publish it.
-     */
-    Status append(std::string payload);
-
-    const std::string &path() const { return path_; }
-
-    /** Records currently held (seeded + appended). */
-    std::size_t recordCount() const;
-
-  private:
-    Status publishLocked();
-
-    std::string path_;
-    std::vector<std::string> records_; // guarded by mutex_
-    mutable std::mutex mutex_;
-};
 
 } // namespace logseek
 

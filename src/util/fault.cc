@@ -146,19 +146,4 @@ ShortWriteStream::ShortWriteStream(std::size_t budget,
     rdbuf(&buf_);
 }
 
-void
-TransientFaultInjector::onAccess(const std::string &what)
-{
-    // fetch_sub races are fine: each failing caller takes exactly
-    // one ticket, and once the count goes non-positive everyone
-    // succeeds.
-    if (remaining_.load(std::memory_order_relaxed) <= 0)
-        return;
-    if (remaining_.fetch_sub(1, std::memory_order_relaxed) <= 0)
-        return;
-    fired_.fetch_add(1, std::memory_order_relaxed);
-    throw StatusError(
-        unavailableError(what + ": injected transient fault"));
-}
-
 } // namespace logseek

@@ -14,7 +14,6 @@
 #ifndef LOGSEEK_UTIL_FAULT_H
 #define LOGSEEK_UTIL_FAULT_H
 
-#include <atomic>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -23,7 +22,6 @@
 #include <string_view>
 
 #include "util/random.h"
-#include "util/status.h"
 
 namespace logseek
 {
@@ -144,38 +142,6 @@ class ShortWriteStream : public std::ostream
 
   private:
     ShortWriteBuf buf_;
-};
-
-/**
- * A countdown fault: the first `failures` calls to onAccess() throw
- * StatusError(Unavailable), later calls succeed. Thread-safe, so a
- * sweep's workers can share one injector; with retry enabled the
- * affected cells surface as RETRIED_OK instead of FAILED.
- */
-class TransientFaultInjector
-{
-  public:
-    /** @param failures How many accesses fail before recovery. */
-    explicit TransientFaultInjector(int failures)
-        : remaining_(failures)
-    {
-    }
-
-    /**
-     * Throws StatusError with code Unavailable while failures
-     * remain; `what` becomes the message context.
-     */
-    void onAccess(const std::string &what);
-
-    /** How many faults have actually been thrown so far. */
-    int faultsFired() const
-    {
-        return fired_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<int> remaining_;
-    std::atomic<int> fired_{0};
 };
 
 } // namespace logseek

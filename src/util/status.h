@@ -17,11 +17,8 @@
  *  - ResourceExhausted a policy budget was exceeded (error budget)
  *  - FailedPrecondition an invariant check failed on otherwise
  *                     well-formed input
- *  - Unavailable      a transient I/O or resource failure; retrying
- *                     the same operation may succeed
- *  - Cancelled        the caller asked for the work to stop
- *  - DeadlineExceeded a per-operation deadline expired before the
- *                     work completed
+ *  - Unavailable      an I/O or resource failure (a file that
+ *                     cannot be opened, read or written)
  *  - Internal         a bug in logseek itself surfaced
  */
 
@@ -48,8 +45,6 @@ enum class StatusCode : std::uint8_t
     FailedPrecondition,
     ResourceExhausted,
     Unavailable,
-    Cancelled,
-    DeadlineExceeded,
     Internal,
 };
 
@@ -68,9 +63,6 @@ toString(StatusCode code)
       case StatusCode::ResourceExhausted:
         return "RESOURCE_EXHAUSTED";
       case StatusCode::Unavailable: return "UNAVAILABLE";
-      case StatusCode::Cancelled: return "CANCELLED";
-      case StatusCode::DeadlineExceeded:
-        return "DEADLINE_EXCEEDED";
       case StatusCode::Internal: return "INTERNAL";
     }
     return "UNKNOWN";
@@ -167,19 +159,6 @@ unavailableError(std::string message)
 }
 
 inline Status
-cancelledError(std::string message)
-{
-    return Status(StatusCode::Cancelled, std::move(message));
-}
-
-inline Status
-deadlineExceededError(std::string message)
-{
-    return Status(StatusCode::DeadlineExceeded,
-                  std::move(message));
-}
-
-inline Status
 internalError(std::string message)
 {
     return Status(StatusCode::Internal, std::move(message));
@@ -190,8 +169,8 @@ internalError(std::string message)
  * return one (callbacks returning plain values, constructors).
  * Fallible boundaries — Simulator::tryRun, the sweep runner's cell
  * and loader paths — catch it and surface the status unchanged, so
- * a transient Unavailable thrown deep inside a loader still reaches
- * the retry logic with its code intact.
+ * an error thrown deep inside a loader reaches the cell's row with
+ * its code intact.
  */
 class StatusError : public std::exception
 {

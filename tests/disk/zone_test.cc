@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "disk/zone.h"
-#include "util/retry.h"
 
 namespace logseek::disk
 {
@@ -299,14 +298,6 @@ TEST(ZoneSetTransitions, StatusCodeMappingIsCanonical)
               StatusCode::FailedPrecondition);
     EXPECT_EQ(statusCodeOf(DeviceErrc::InvalidTransition),
               StatusCode::FailedPrecondition);
-
-    // Only transient media errors are worth a retry.
-    EXPECT_TRUE(isRetryable(
-        statusCodeOf(DeviceErrc::TransientMediaError)));
-    EXPECT_FALSE(
-        isRetryable(statusCodeOf(DeviceErrc::GrownDefect)));
-    EXPECT_FALSE(isRetryable(
-        statusCodeOf(DeviceErrc::WritePointerViolation)));
 }
 
 TEST(ZoneSetTransitions, ErrorTagRoundTrips)

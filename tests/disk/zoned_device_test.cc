@@ -3,7 +3,7 @@
  * ZonedDevice tests: the randomized differential write-pointer
  * check against a straight-line reference model, the seeded fault
  * model's determinism, and the recovery semantics (retries, the
- * read-error log, degraded results, cancellation mid-backoff).
+ * exhausted budget, the read-error log, degraded results).
  */
 
 #include <gtest/gtest.h>
@@ -32,17 +32,6 @@ swrLayout(std::uint64_t anchor = 0)
     layout.maxOpenZones = 8;
     layout.anchorSector = anchor;
     return layout;
-}
-
-/** No-fault options with zero-length recovery backoff. */
-ZonedDeviceOptions
-quietOptions()
-{
-    ZonedDeviceOptions options;
-    options.recovery.initialBackoff =
-        std::chrono::milliseconds(0);
-    options.recovery.maxBackoff = std::chrono::milliseconds(0);
-    return options;
 }
 
 /**
@@ -94,7 +83,7 @@ struct ReferenceModel
 void
 runDifferential(std::uint64_t anchor, std::uint64_t seed)
 {
-    ZonedDevice device(swrLayout(anchor), quietOptions());
+    ZonedDevice device(swrLayout(anchor), ZonedDeviceOptions{});
     ReferenceModel model{anchor, {}};
     Rng rng(seed);
 
@@ -151,7 +140,7 @@ TEST(ZonedDeviceDifferential, AnchoredGridMatchesReferenceModel)
 
 TEST(ZonedDeviceFaults, CleanDeviceTouchesNoFaultPath)
 {
-    ZonedDevice device(swrLayout(), quietOptions());
+    ZonedDevice device(swrLayout(), ZonedDeviceOptions{});
     device.write({0, 32});
     const DeviceReadResult read = device.read({0, 32});
     EXPECT_EQ(read.retries, 0u);
@@ -162,10 +151,9 @@ TEST(ZonedDeviceFaults, CleanDeviceTouchesNoFaultPath)
 
 TEST(ZonedDeviceFaults, TransientSectorsRecoverDeterministically)
 {
-    ZonedDeviceOptions options = quietOptions();
+    ZonedDeviceOptions options;
     options.faults.transientRate = 1.0;
     options.faults.maxTransientRetries = 2;
-    options.recovery.maxAttempts = 4;
 
     ZonedDevice device(swrLayout(), options);
     device.write({0, 16});
@@ -192,11 +180,41 @@ TEST(ZonedDeviceFaults, TransientSectorsRecoverDeterministically)
     EXPECT_EQ(again.recoveredSectors, read.recoveredSectors);
 }
 
+TEST(ZonedDeviceFaults, TransientSectorsBeyondTheBudgetFail)
+{
+    // Seeded requirements of 1..6 retries against a 4-attempt
+    // budget: a sector needing r < 4 retries recovers after r, the
+    // rest fail after 3.
+    ZonedDeviceOptions options;
+    options.faults.transientRate = 1.0;
+    options.faults.maxTransientRetries = 6;
+
+    ZonedDevice device(swrLayout(), options);
+    device.write({0, 64});
+    const DeviceReadResult read = device.read({0, 64});
+    EXPECT_EQ(read.failedSectors, 31u);
+    EXPECT_EQ(read.recoveredSectors, 33u);
+    EXPECT_EQ(read.retries, 156u);
+    EXPECT_TRUE(read.degraded());
+
+    std::uint64_t logged_retries = 0;
+    ASSERT_EQ(device.readErrorLog().entries().size(), 64u);
+    for (const auto &entry : device.readErrorLog().entries()) {
+        logged_retries += entry.retries;
+        if (entry.status.ok())
+            continue;
+        EXPECT_EQ(entry.retries, 3u);
+        EXPECT_TRUE(isDeviceError(
+            entry.status, DeviceErrc::TransientMediaError));
+    }
+    EXPECT_EQ(read.retries, logged_retries);
+}
+
 TEST(ZonedDeviceFaults, TransientClassificationIsOrderIndependent)
 {
     // Transient faults are pure per-sector hashes, so reading the
     // same extents forward or backward costs identical totals.
-    ZonedDeviceOptions options = quietOptions();
+    ZonedDeviceOptions options;
     options.faults.transientRate = 0.3;
 
     std::vector<SectorExtent> extents;
@@ -226,7 +244,7 @@ TEST(ZonedDeviceFaults, TransientClassificationIsOrderIndependent)
 
 TEST(ZonedDeviceFaults, GrownDefectDegradesZoneAndFailsFast)
 {
-    ZonedDeviceOptions options = quietOptions();
+    ZonedDeviceOptions options;
     options.faults.grownRate = 1.0;
     options.faults.offlineShare = 0.0; // always READ_ONLY
 
@@ -261,7 +279,7 @@ TEST(ZonedDeviceFaults, GrownDefectDegradesZoneAndFailsFast)
 
 TEST(ZonedDeviceFaults, OfflineZoneRefusesReadsOutright)
 {
-    ZonedDeviceOptions options = quietOptions();
+    ZonedDeviceOptions options;
     options.faults.grownRate = 1.0;
     options.faults.offlineShare = 1.0; // always OFFLINE
 
@@ -278,7 +296,7 @@ TEST(ZonedDeviceFaults, OfflineZoneRefusesReadsOutright)
 
 TEST(ZonedDeviceFaults, WpDivergenceIsInjectedAndRecovered)
 {
-    ZonedDeviceOptions options = quietOptions();
+    ZonedDeviceOptions options;
     options.faults.wpDivergenceRate = 1.0;
     options.faults.wpDivergenceSectors = 8;
 
@@ -296,31 +314,9 @@ TEST(ZonedDeviceFaults, WpDivergenceIsInjectedAndRecovered)
     EXPECT_EQ(device.zones().zone(0).writePointer, 24u);
 }
 
-TEST(ZonedDeviceFaults, CancellationFiresMidRecovery)
-{
-    ZonedDeviceOptions options;
-    options.faults.transientRate = 1.0;
-    options.recovery.maxAttempts = 4;
-    options.recovery.initialBackoff =
-        std::chrono::milliseconds(5);
-    options.recovery.maxBackoff = std::chrono::milliseconds(5);
-
-    CancelSource source;
-    source.cancel(CancelReason::DeadlineExceeded);
-    ZonedDevice device(swrLayout(), options, source.token());
-    device.write({0, 4});
-    try {
-        device.read({0, 4});
-        FAIL() << "expected StatusError from cancelled recovery";
-    } catch (const StatusError &error) {
-        EXPECT_EQ(error.status().code(),
-                  StatusCode::DeadlineExceeded);
-    }
-}
-
 TEST(ZonedDeviceFaults, ErrorLogBoundsItsMemory)
 {
-    ZonedDeviceOptions options = quietOptions();
+    ZonedDeviceOptions options;
     options.faults.transientRate = 1.0;
 
     ZonedDevice device(swrLayout(), options);
@@ -336,7 +332,7 @@ TEST(ZonedDeviceFaults, ErrorLogBoundsItsMemory)
 
 TEST(ZonedDeviceFaults, ErrorLogCapIsConfigurable)
 {
-    ZonedDeviceOptions options = quietOptions();
+    ZonedDeviceOptions options;
     options.faults.transientRate = 1.0;
     options.errorLogCap = 16;
 
@@ -350,7 +346,7 @@ TEST(ZonedDeviceFaults, ErrorLogCapIsConfigurable)
 
 TEST(ZonedDeviceCrash, ScheduledPowerLossKillsTheDevice)
 {
-    ZonedDeviceOptions options = quietOptions();
+    ZonedDeviceOptions options;
     options.crash.crashAtWriteOp = 3;
     options.crash.seed = 0x11;
 
@@ -378,7 +374,7 @@ TEST(ZonedDeviceCrash, TornWriteAdvancesPointerPartway)
     // pointer lands somewhere in [start of op, end of op] — never
     // beyond, and deterministically for a fixed seed.
     const auto crashed_wp = [](std::uint64_t seed) {
-        ZonedDeviceOptions options = quietOptions();
+        ZonedDeviceOptions options;
         options.crash.crashAtWriteOp = 1;
         options.crash.seed = seed;
         ZonedDevice device(swrLayout(), options);
@@ -395,7 +391,7 @@ TEST(ZonedDeviceCrash, TornWriteAdvancesPointerPartway)
 
 TEST(ZonedDeviceCrash, UnarmedScheduleNeverFires)
 {
-    ZonedDeviceOptions options = quietOptions();
+    ZonedDeviceOptions options;
     ASSERT_EQ(options.crash.crashAtWriteOp, 0U);
 
     ZonedDevice device(swrLayout(), options);

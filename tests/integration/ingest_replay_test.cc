@@ -3,8 +3,8 @@
  * End-to-end ingestion/replay byte-identity: a trace replayed from
  * an mmap'd LSKC file or a streaming generator must produce the
  * bit-identical SimResult (operator==, including the seekTimeSec
- * bit pattern) as the in-RAM path — across sweep --jobs {1, 2},
- * two translation layers, and a checkpoint/resume cycle. Also pins
+ * bit pattern) as the in-RAM path — across sweep --jobs {1, 2} and
+ * two translation layers. Also pins
  * the source-lifecycle contract: the sweep drops its TraceSource
  * references once the last dependent cell completes.
  *
@@ -119,52 +119,6 @@ TEST(IngestReplay, LskcSweepMatchesRamAcrossJobs)
         EXPECT_EQ(result.row(0, 0).ops, trace.size());
     }
     std::remove(path.c_str());
-}
-
-TEST(IngestReplay, CheckpointResumeRestoresLskcCellsByteIdentically)
-{
-    const trace::Trace trace = randomTrace(23, 2000);
-    const std::string path = tempPath("ckpt") + ".lskc";
-    const std::string checkpoint = tempPath("ckpt") + ".lckp";
-    ASSERT_TRUE(trace::tryWriteLskcFile(path, trace).ok());
-
-    const auto specs = [&] {
-        std::vector<WorkloadSpec> workloads;
-        workloads.push_back(WorkloadSpec::source(
-            trace.name(), [path] {
-                return trace::LskcSource::tryOpen(path).value();
-            }));
-        return workloads;
-    };
-    const std::vector<ConfigSpec> configs = layerConfigs();
-
-    SweepOptions first_options;
-    first_options.jobs = 2;
-    first_options.checkpointPath = checkpoint;
-    SweepRunner first(specs(), configs, first_options);
-    const SweepResult fresh = first.run();
-    ASSERT_TRUE(fresh.row(0, 0).status.ok());
-    ASSERT_TRUE(fresh.row(0, 1).status.ok());
-
-    SweepOptions resume_options;
-    resume_options.jobs = 2;
-    resume_options.resumePath = checkpoint;
-    SweepRunner second(specs(), configs, resume_options);
-    const SweepResult resumed = second.run();
-
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        const RunRow &row = resumed.row(0, c);
-        ASSERT_TRUE(row.status.ok()) << "config " << c;
-        EXPECT_TRUE(row.restored) << "config " << c;
-        // Restored rows carry the bit-identical result the fresh
-        // replay produced, seekTimeSec bits included.
-        EXPECT_TRUE(row.result == fresh.row(0, c).result)
-            << "config " << c;
-    }
-    EXPECT_EQ(resumed.telemetry.restoredRuns, configs.size());
-
-    std::remove(path.c_str());
-    std::remove(checkpoint.c_str());
 }
 
 TEST(IngestReplay, StreamedSweepMatchesRamAcrossJobs)

@@ -99,7 +99,16 @@ struct PropertyParams
     bool defrag;
     bool prefetch;
     bool cache;
+    // Fills what would otherwise be padding. gtest names each case
+    // after the raw bytes of its parameter, and padding holds
+    // whatever was in memory, so the names changed from run to run.
+    std::uint8_t zero[5] = {};
 };
+// A double defeats has_unique_object_representations, so check the
+// size directly: no byte of the struct is padding.
+static_assert(sizeof(PropertyParams) ==
+              sizeof(std::uint64_t) + sizeof(double) +
+                  3 * sizeof(bool) + sizeof(PropertyParams::zero));
 
 class SimulatorProperty
     : public ::testing::TestWithParam<PropertyParams>

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the shared bench CLI surface: positional scale/seed,
- * --jobs, --json/--csv destinations, --paranoid, the fault-
- * tolerance flags (--deadline-ms/--retries/--checkpoint/--resume),
- * the observability flags (--metrics-out/--trace-out/--help), and
- * strict rejection of malformed numbers and unknown arguments.
+ * --jobs, --json/--csv destinations, --paranoid, the
+ * observability flags (--metrics-out/--trace-out/--help), and
+ * strict rejection of malformed numbers and unknown arguments
+ * (including the retired fault-tolerance flags).
  * The help-sync test pins benchHelp()/benchUsage() to
  * benchFlagNames() so the documented surface cannot drift from
  * what the parser accepts.
@@ -109,33 +109,31 @@ TEST(BenchCliTest, JobsRejectsZeroNegativeAndGarbage)
               std::string::npos);
 }
 
-TEST(BenchCliTest, FaultToleranceFlags)
+TEST(BenchCliTest, RejectsRetiredFaultToleranceFlags)
 {
-    const StatusOr<BenchCli> cli =
-        tryParse({"--deadline-ms", "250", "--retries=3",
-                  "--checkpoint", "/tmp/c.ckpt",
-                  "--resume=/tmp/r.ckpt"});
-    ASSERT_TRUE(cli.ok()) << cli.status().message();
-    EXPECT_EQ(cli.value().deadlineMs, 250);
-    EXPECT_EQ(cli.value().retries, 3);
-    EXPECT_EQ(cli.value().checkpointPath, "/tmp/c.ckpt");
-    EXPECT_EQ(cli.value().resumePath, "/tmp/r.ckpt");
-
-    const SweepOptions options = cli.value().sweepOptions();
-    EXPECT_EQ(options.cellDeadline.count(), 250);
-    EXPECT_EQ(options.retry.maxAttempts, 4);
-    EXPECT_EQ(options.checkpointPath, "/tmp/c.ckpt");
-    EXPECT_EQ(options.resumePath, "/tmp/r.ckpt");
-}
-
-TEST(BenchCliTest, FaultToleranceFlagValidation)
-{
-    EXPECT_FALSE(tryParse({"--deadline-ms", "-5"}).ok());
-    EXPECT_FALSE(tryParse({"--deadline-ms", "soon"}).ok());
-    EXPECT_FALSE(tryParse({"--retries", "-1"}).ok());
-    EXPECT_FALSE(tryParse({"--retries", "1001"}).ok());
-    EXPECT_FALSE(tryParse({"--checkpoint"}).ok());
-    EXPECT_FALSE(tryParse({"--resume="}).ok());
+    // Each sweep cell runs once, so there is no per-cell deadline,
+    // retry or checkpoint/resume to configure: both spellings of
+    // each of those flags are rejected as unknown options, and the
+    // help does not mention them.
+    const std::string help = benchHelp("bench");
+    for (const char *name :
+         {"deadline-ms", "retries", "checkpoint", "resume"}) {
+        const std::string flag = std::string("--") + name;
+        const std::string joined = flag + "=1";
+        for (const StatusOr<BenchCli> &cli :
+             {tryParse({flag.c_str(), "1"}),
+              tryParse({joined.c_str()})}) {
+            ASSERT_FALSE(cli.ok()) << flag;
+            EXPECT_EQ(cli.status().code(),
+                      StatusCode::InvalidArgument)
+                << flag;
+            EXPECT_EQ(cli.status().message().rfind(
+                          "unknown option: " + flag, 0),
+                      0u)
+                << cli.status().message();
+        }
+        EXPECT_EQ(help.find(flag), std::string::npos) << flag;
+    }
 }
 
 TEST(BenchCliTest, ErrorLogCapFlag)

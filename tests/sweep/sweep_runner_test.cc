@@ -270,6 +270,8 @@ TEST(SweepRunnerTest, FailingConfigDoesNotPoisonOtherCells)
 {
     SweepOptions options;
     options.jobs = 4;
+    telemetry::Registry::global().resetValues();
+    telemetry::setEnabled(true);
     const SweepResult sweep =
         SweepRunner(
             tinyWorkloads(),
@@ -282,6 +284,7 @@ TEST(SweepRunnerTest, FailingConfigDoesNotPoisonOtherCells)
                  })},
             options)
             .run();
+    telemetry::setEnabled(false);
 
     for (std::size_t w = 0; w < sweep.workloads.size(); ++w) {
         EXPECT_TRUE(sweep.row(w, 0).status.ok());
@@ -290,6 +293,17 @@ TEST(SweepRunnerTest, FailingConfigDoesNotPoisonOtherCells)
         EXPECT_TRUE(sweep.safVs(w, 0).has_value());
     }
     EXPECT_EQ(sweep.telemetry.failedRuns, sweep.workloads.size());
+
+    // Failed cells are counted under their own outcome label.
+    const telemetry::MetricsSnapshot snap =
+        telemetry::Registry::global().snapshot();
+    for (const char *outcome : {"OK", "FAILED"}) {
+        const telemetry::CounterSnapshot *cells = snap.findCounter(
+            "sweep_cells_total",
+            std::string("outcome=\"") + outcome + "\"");
+        ASSERT_NE(cells, nullptr) << outcome;
+        EXPECT_EQ(cells->value, sweep.workloads.size()) << outcome;
+    }
 }
 
 TEST(SweepRunnerTest, FailingLoaderFailsOnlyItsOwnRow)

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -151,78 +150,6 @@ TEST(TaskPoolTest, DestructorSurvivesThrowingTasks)
         // terminating on the in-flight exceptions.
     }
     EXPECT_EQ(ran.load(), 20);
-}
-
-TEST(TaskPoolTest, WatchdogFiresAfterTheDeadline)
-{
-    TaskPool pool(1);
-    std::atomic<bool> fired{false};
-    pool.armWatchdog(std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(5),
-                     [&fired] { fired.store(true); });
-    for (int i = 0; i < 1000 && !fired.load(); ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_TRUE(fired.load());
-    EXPECT_GE(pool.watchdogFiredCount(), 1u);
-}
-
-TEST(TaskPoolTest, DisarmedWatchdogNeverFires)
-{
-    TaskPool pool(1);
-    std::atomic<bool> fired{false};
-    const TaskPool::WatchId id = pool.armWatchdog(
-        std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(250),
-        [&fired] { fired.store(true); });
-    pool.disarmWatchdog(id);
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    EXPECT_FALSE(fired.load());
-    EXPECT_EQ(pool.watchdogFiredCount(), 0u);
-}
-
-TEST(TaskPoolTest, WatchdogsFireInAnyArmingOrder)
-{
-    TaskPool pool(2);
-    std::atomic<int> fired{0};
-    const auto now = std::chrono::steady_clock::now();
-    // Armed latest-deadline-first to exercise the earliest-scan.
-    pool.armWatchdog(now + std::chrono::milliseconds(20),
-                     [&fired] { fired.fetch_add(1); });
-    pool.armWatchdog(now + std::chrono::milliseconds(10),
-                     [&fired] { fired.fetch_add(1); });
-    pool.armWatchdog(now + std::chrono::milliseconds(1),
-                     [&fired] { fired.fetch_add(1); });
-    for (int i = 0; i < 1000 && fired.load() < 3; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_EQ(fired.load(), 3);
-}
-
-TEST(TaskPoolTest, DestructorStopsAPendingWatchdog)
-{
-    std::atomic<bool> fired{false};
-    {
-        TaskPool pool(1);
-        pool.armWatchdog(std::chrono::steady_clock::now() +
-                             std::chrono::hours(1),
-                         [&fired] { fired.store(true); });
-        // Destruction must not wait the hour out.
-    }
-    EXPECT_FALSE(fired.load());
-}
-
-TEST(TaskPoolTest, WatchdogArmedFromAWorkerTask)
-{
-    std::atomic<bool> fired{false};
-    TaskPool pool(2);
-    pool.submit([&pool, &fired] {
-        pool.armWatchdog(std::chrono::steady_clock::now() +
-                             std::chrono::milliseconds(2),
-                         [&fired] { fired.store(true); });
-    });
-    pool.wait();
-    for (int i = 0; i < 1000 && !fired.load(); ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_TRUE(fired.load());
 }
 
 } // namespace

@@ -1,15 +1,12 @@
 /**
  * @file
- * Unit tests for the CRC-guarded checkpoint file format: the CRC-32
+ * Unit tests for the CRC-guarded LCKP record framing: the CRC-32
  * implementation, frame round-trips, torn-tail and bit-flip damage
- * recovery, resync after mid-file corruption, and the atomically-
- * publishing writer.
+ * recovery, and resync after mid-image corruption.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -20,40 +17,6 @@ namespace logseek
 {
 namespace
 {
-
-/** A self-deleting temp file path. */
-class TempPath
-{
-  public:
-    explicit TempPath(const std::string &name)
-        : path_(std::string(::testing::TempDir()) + name)
-    {
-        std::remove(path_.c_str());
-    }
-
-    ~TempPath() { std::remove(path_.c_str()); }
-
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-}
-
-void
-writeFileRaw(const std::string &path, const std::string &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-}
 
 std::string
 imageOf(const std::vector<std::string> &payloads)
@@ -161,80 +124,6 @@ TEST(Checkpoint, GarbageBetweenFramesIsSkipped)
     ASSERT_EQ(load.records.size(), 2u);
     EXPECT_EQ(load.records[0], "head");
     EXPECT_EQ(load.records[1], "tail");
-}
-
-TEST(Checkpoint, LoadReportsMissingFileAsNotFound)
-{
-    const StatusOr<CheckpointLoad> load =
-        loadCheckpoint("/nonexistent/dir/never.ckpt");
-    ASSERT_FALSE(load.ok());
-    EXPECT_EQ(load.status().code(), StatusCode::NotFound);
-}
-
-TEST(Checkpoint, WriterRoundTripsThroughTheFilesystem)
-{
-    TempPath path("ckpt_writer_roundtrip.ckpt");
-    CheckpointWriter writer(path.str());
-    EXPECT_TRUE(writer.append("one").ok());
-    EXPECT_TRUE(writer.append("two").ok());
-    EXPECT_EQ(writer.recordCount(), 2u);
-
-    const StatusOr<CheckpointLoad> load =
-        loadCheckpoint(path.str());
-    ASSERT_TRUE(load.ok()) << load.status().message();
-    EXPECT_TRUE(load.value().clean());
-    EXPECT_EQ(load.value().records,
-              (std::vector<std::string>{"one", "two"}));
-}
-
-TEST(Checkpoint, WriterSeedRewritesDamagedFilesClean)
-{
-    TempPath path("ckpt_writer_seed.ckpt");
-    // Simulate a resumed sweep: the old file has a torn tail.
-    std::string image = imageOf({"keep"});
-    appendCheckpointFrame(image, "torn");
-    writeFileRaw(path.str(), image.substr(0, image.size() - 3));
-
-    CheckpointWriter writer(path.str());
-    writer.seed({"keep"});
-    EXPECT_TRUE(writer.append("fresh").ok());
-
-    const StatusOr<CheckpointLoad> load =
-        loadCheckpoint(path.str());
-    ASSERT_TRUE(load.ok());
-    // The republished file is fully clean again.
-    EXPECT_TRUE(load.value().clean());
-    EXPECT_EQ(load.value().records,
-              (std::vector<std::string>{"keep", "fresh"}));
-}
-
-TEST(Checkpoint, EveryAppendLeavesAParseableFile)
-{
-    TempPath path("ckpt_writer_incremental.ckpt");
-    CheckpointWriter writer(path.str());
-    for (int i = 0; i < 8; ++i) {
-        ASSERT_TRUE(
-            writer.append("record-" + std::to_string(i)).ok());
-        // The published file is complete after every append — the
-        // atomic rename never exposes a half-written image.
-        const CheckpointLoad load =
-            parseCheckpoint(readFile(path.str()));
-        EXPECT_TRUE(load.clean()) << "append " << i;
-        EXPECT_EQ(load.records.size(),
-                  static_cast<std::size_t>(i) + 1)
-            << "append " << i;
-    }
-}
-
-TEST(Checkpoint, WriterReportsUnwritablePaths)
-{
-    CheckpointWriter writer("/nonexistent/dir/never.ckpt");
-    const Status status = writer.append("x");
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::Unavailable);
-    // The record is retained for a later, possibly successful
-    // publication.
-    EXPECT_EQ(writer.recordCount(), 1u);
 }
 
 TEST(Checkpoint, SeededTruncationsNeverCrashTheParser)

@@ -188,29 +188,5 @@ TEST(Fault, ShortWriteStreamFailingSync)
     EXPECT_FALSE(out.good());
 }
 
-TEST(Fault, TransientFaultInjectorThrowsThenRecovers)
-{
-    TransientFaultInjector injector(2);
-    for (int i = 0; i < 2; ++i) {
-        try {
-            injector.onAccess("load");
-            FAIL() << "expected a throw on access " << i;
-        } catch (const StatusError &e) {
-            EXPECT_EQ(e.status().code(), StatusCode::Unavailable);
-            EXPECT_NE(e.status().message().find("load"),
-                      std::string::npos);
-        }
-    }
-    EXPECT_NO_THROW(injector.onAccess("load"));
-    EXPECT_EQ(injector.faultsFired(), 2);
-}
-
-TEST(Fault, TransientFaultInjectorZeroFailuresIsTransparent)
-{
-    TransientFaultInjector injector(0);
-    EXPECT_NO_THROW(injector.onAccess("x"));
-    EXPECT_EQ(injector.faultsFired(), 0);
-}
-
 } // namespace
 } // namespace logseek
