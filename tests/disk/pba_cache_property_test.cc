@@ -2,13 +2,18 @@
  * @file
  * Property-based tests for PbaRangeCache: random insert/contains
  * sequences validated against a brute-force per-sector reference
- * (coverage correctness) plus budget invariants.
+ * (coverage correctness) plus budget invariants, and a differential
+ * test that pins the exact hit, admission and eviction behaviour
+ * against a brute-force model of the cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <set>
 #include <type_traits>
+#include <vector>
 
 #include "disk/pba_cache.h"
 #include "util/random.h"
@@ -135,6 +140,187 @@ INSTANTIATE_TEST_SUITE_P(
         mix(6, EvictionPolicy::Fifo, 512),
         mix(7, EvictionPolicy::Lru, 7),
         mix(8, EvictionPolicy::Fifo, 7)));
+
+/**
+ * Brute-force model of PbaRangeCache. Entries sit in a std::list in
+ * recency order (front = most recent), and coverage is found sector
+ * by sector. A full hit under LRU refreshes the covering entries left
+ * to right; an insert pushes the missing pieces to the front in
+ * ascending order, then evicts from the back while over budget.
+ */
+class ReferenceRangeCache
+{
+  public:
+    ReferenceRangeCache(std::uint64_t capacityBytes,
+                        EvictionPolicy policy)
+        : capacityBytes_(capacityBytes), policy_(policy)
+    {
+    }
+
+    bool
+    contains(const SectorExtent &extent)
+    {
+        const std::vector<Entry> owner = owners(extent);
+        for (const Entry entry : owner) {
+            if (entry == entries_.end())
+                return false;
+        }
+        if (policy_ == EvictionPolicy::Lru) {
+            for (std::size_t i = 0; i < owner.size(); ++i) {
+                if (i == 0 || owner[i] != owner[i - 1])
+                    entries_.splice(entries_.begin(), entries_,
+                                    owner[i]);
+            }
+        }
+        return true;
+    }
+
+    void
+    insert(const SectorExtent &extent)
+    {
+        if (extent.empty() || capacityBytes_ == 0)
+            return;
+        const std::vector<Entry> owner = owners(extent);
+        std::vector<SectorExtent> missing;
+        for (std::size_t i = 0; i < owner.size(); ++i) {
+            if (owner[i] != entries_.end())
+                continue;
+            if (!missing.empty() &&
+                missing.back().end() == extent.start + i)
+                ++missing.back().count;
+            else
+                missing.push_back({extent.start + i, 1});
+        }
+        for (const SectorExtent &piece : missing) {
+            entries_.push_front(piece);
+            usedBytes_ += piece.bytes();
+        }
+        while (usedBytes_ > capacityBytes_ && !entries_.empty()) {
+            usedBytes_ -= entries_.back().bytes();
+            entries_.pop_back();
+            ++evictions_;
+        }
+    }
+
+    std::uint64_t usedBytes() const { return usedBytes_; }
+    std::size_t entryCount() const { return entries_.size(); }
+    std::uint64_t evictionCount() const { return evictions_; }
+
+  private:
+    using Entry = std::list<SectorExtent>::iterator;
+
+    /** The entry holding each sector of extent, or end(). */
+    std::vector<Entry>
+    owners(const SectorExtent &extent)
+    {
+        std::vector<Entry> owner(extent.count, entries_.end());
+        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+            const std::uint64_t from = std::max(it->start, extent.start);
+            const std::uint64_t to = std::min(it->end(), extent.end());
+            for (std::uint64_t sector = from; sector < to; ++sector)
+                owner[sector - extent.start] = it;
+        }
+        return owner;
+    }
+
+    std::uint64_t capacityBytes_;
+    EvictionPolicy policy_;
+    std::list<SectorExtent> entries_;
+    std::uint64_t usedBytes_ = 0;
+    std::uint64_t evictions_ = 0;
+};
+
+struct DiffParams
+{
+    std::uint64_t seed;
+    EvictionPolicy policy;
+    std::uint32_t zero = 0; // no padding; see FuzzParams
+    std::uint64_t capacitySectors; // 0 = unlimited-ish (huge)
+    std::uint64_t maxExtentSectors;
+    std::uint64_t spaceSectors;
+    std::uint64_t driftSectors; // the window moves up this much per op
+};
+static_assert(std::has_unique_object_representations_v<DiffParams>);
+
+DiffParams diff(std::uint64_t seed, EvictionPolicy policy,
+                std::uint64_t capacitySectors,
+                std::uint64_t maxExtentSectors,
+                std::uint64_t spaceSectors,
+                std::uint64_t driftSectors = 0)
+{
+    return {.seed = seed, .policy = policy,
+            .capacitySectors = capacitySectors,
+            .maxExtentSectors = maxExtentSectors,
+            .spaceSectors = spaceSectors,
+            .driftSectors = driftSectors};
+}
+
+class PbaCacheDifferential : public ::testing::TestWithParam<DiffParams>
+{
+};
+
+TEST_P(PbaCacheDifferential, MatchesBruteForceReference)
+{
+    // Same random operations on both; after each one, the hit
+    // result and every counter must agree.
+    const DiffParams params = GetParam();
+    const std::uint64_t capacityBytes =
+        params.capacitySectors == 0 ? 1ULL << 40
+                                    : params.capacitySectors *
+                                          kSectorBytes;
+    Rng rng(params.seed);
+    PbaRangeCache cache(capacityBytes, params.policy);
+    ReferenceRangeCache reference(capacityBytes, params.policy);
+
+    for (std::uint64_t op = 0; op < 3000; ++op) {
+        const SectorExtent extent{
+            op * params.driftSectors +
+                rng.nextUint(params.spaceSectors),
+            1 + rng.nextUint(params.maxExtentSectors)};
+        if (rng.nextBool(0.5)) {
+            cache.insert(extent);
+            reference.insert(extent);
+        } else {
+            ASSERT_EQ(cache.contains(extent),
+                      reference.contains(extent))
+                << "op " << op << " extent [" << extent.start << ","
+                << extent.end() << ")";
+        }
+        ASSERT_EQ(cache.usedBytes(), reference.usedBytes())
+            << "op " << op;
+        ASSERT_EQ(cache.entryCount(), reference.entryCount())
+            << "op " << op;
+        ASSERT_EQ(cache.evictionCount(), reference.evictionCount())
+            << "op " << op;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, PbaCacheDifferential,
+    ::testing::Values(
+        // The PbaCacheFuzz capacities.
+        diff(11, EvictionPolicy::Lru, 0, 16, 2048),
+        diff(12, EvictionPolicy::Fifo, 0, 16, 2048),
+        diff(13, EvictionPolicy::Lru, 64, 16, 2048),
+        diff(14, EvictionPolicy::Fifo, 64, 16, 2048),
+        diff(15, EvictionPolicy::Lru, 512, 16, 2048),
+        diff(16, EvictionPolicy::Fifo, 512, 16, 2048),
+        diff(17, EvictionPolicy::Lru, 7, 16, 2048),
+        diff(18, EvictionPolicy::Fifo, 7, 16, 2048),
+        // Hundreds of small entries: index blocks split and merge.
+        diff(19, EvictionPolicy::Lru, 2048, 6, 16384),
+        diff(20, EvictionPolicy::Fifo, 2048, 6, 16384),
+        diff(21, EvictionPolicy::Lru, 2048, 6, 16384),
+        diff(22, EvictionPolicy::Fifo, 2048, 6, 16384),
+        // Long extents: one lookup spans many entries.
+        diff(23, EvictionPolicy::Lru, 3072, 200, 4096),
+        diff(24, EvictionPolicy::Fifo, 3072, 200, 4096),
+        diff(25, EvictionPolicy::Lru, 3072, 200, 4096),
+        diff(26, EvictionPolicy::Fifo, 3072, 200, 4096),
+        // A window drifting up, as log appends do: the low blocks
+        // empty, merge and are dropped.
+        diff(27, EvictionPolicy::Lru, 2048, 6, 16384, 4),
+        diff(28, EvictionPolicy::Fifo, 2048, 6, 16384, 4)));
 
 } // namespace
 } // namespace logseek::disk
