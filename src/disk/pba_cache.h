@@ -13,17 +13,21 @@
  * and no invalidation path is required (see DESIGN.md §6).
  *
  * Layout: range nodes come from a chunked pool and are threaded on
- * an intrusive doubly-linked recency list (front = most recent);
- * lookups go through a flat array of node pointers sorted by start
- * sector. Refreshes and evictions are pointer relinks, and the
- * lookup/insert scratch vectors are members, so the steady state
- * performs no heap allocation (the old std::list + std::map design
- * allocated on every insert and eviction).
+ * an intrusive doubly-linked recency list (front = most recent).
+ * Lookups go through a blocked index of height 2: sorted blocks of
+ * at most 64 {start, node} pairs, plus a contiguous array of each
+ * block's first start. A lookup searches that array, then one block,
+ * so an insert or an eviction moves at most one block's entries
+ * instead of the whole index. Refreshes and evictions are pointer
+ * relinks, and emptied blocks and the lookup/insert scratch vectors
+ * are kept for reuse, so the steady state performs no heap
+ * allocation.
  */
 
 #ifndef LOGSEEK_DISK_PBA_CACHE_H
 #define LOGSEEK_DISK_PBA_CACHE_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -68,9 +72,6 @@ class PbaRangeCache
      */
     void insert(const SectorExtent &extent);
 
-    /** Drop all entries. */
-    void clear();
-
     /** Bytes currently resident. */
     std::uint64_t usedBytes() const { return usedBytes_; }
 
@@ -78,7 +79,7 @@ class PbaRangeCache
     std::uint64_t capacityBytes() const { return capacityBytes_; }
 
     /** Number of resident (non-overlapping) ranges. */
-    std::size_t entryCount() const { return index_.size(); }
+    std::size_t entryCount() const { return entryCount_; }
 
     /** Total entries evicted since construction. */
     std::uint64_t evictionCount() const { return evictions_; }
@@ -93,6 +94,29 @@ class PbaRangeCache
         RangeNode *next = nullptr;
     };
 
+    /** One index entry; the start is kept inline so a search
+     *  touches no node. */
+    struct IndexEntry
+    {
+        std::uint64_t start;
+        RangeNode *node;
+    };
+
+    /** Most entries in one index block. A full block splits in two
+     *  when it gains one more; a block left with fewer than
+     *  kMergeBelow entries merges with its right neighbour when the
+     *  two fit in one block. */
+    static constexpr std::size_t kBlockEntries = 64;
+    static constexpr std::size_t kMergeBelow = 16;
+
+    /** A sorted run of index entries. The entries come first, so
+     *  none of them straddles a cache line. */
+    struct IndexBlock
+    {
+        std::array<IndexEntry, kBlockEntries> entries{};
+        std::size_t size = 0;
+    };
+
     /** Link node at the recency front (most recent). */
     void pushFront(RangeNode *node);
 
@@ -104,8 +128,28 @@ class PbaRangeCache
     RangeNode *allocNode();
     void freeNode(RangeNode *node);
 
-    /** First index position with entry start >= start. */
-    std::size_t indexLowerBound(std::uint64_t start) const;
+    /** Calls visit(node) on each entry starting before extent.end(),
+     *  in start order, from the last entry starting at or before
+     *  extent.start (or the first entry), until visit returns
+     *  false. */
+    template <typename Visit>
+    void forEachFrom(const SectorExtent &extent, Visit visit) const;
+
+    /** The block whose range holds start: the last block whose
+     *  first start is <= start, or block 0. */
+    std::size_t blockFor(std::uint64_t start) const;
+
+    void indexInsert(RangeNode *node);
+    void indexErase(RangeNode *node);
+
+    /** A cleared block, reused if one was dropped earlier. */
+    std::unique_ptr<IndexBlock> takeBlock();
+
+    /** Move the upper half of block b into a new block b + 1. */
+    void splitBlock(std::size_t b);
+
+    /** Remove block b from the index and keep it for reuse. */
+    void dropBlock(std::size_t b);
 
     void evictOne();
 
@@ -113,19 +157,23 @@ class PbaRangeCache
     EvictionPolicy policy_;
     std::uint64_t usedBytes_ = 0;
     std::uint64_t evictions_ = 0;
+    std::size_t entryCount_ = 0;
 
     /** Recency list: head_ = most recent, tail_ = next victim. */
     RangeNode *head_ = nullptr;
     RangeNode *tail_ = nullptr;
 
-    /** Node pointers sorted by extent.start; entries never
-     *  overlap. */
-    std::vector<RangeNode *> index_;
+    /** The index, in start order: blocks are non-empty, entries
+     *  never overlap, and firstStarts_[b] is the first start of
+     *  indexBlocks_[b]. */
+    std::vector<std::unique_ptr<IndexBlock>> indexBlocks_;
+    std::vector<std::uint64_t> firstStarts_;
+    std::vector<std::unique_ptr<IndexBlock>> spareBlocks_;
 
     /** Chunked node pool with an intrusive free list. */
-    static constexpr std::size_t kNodesPerBlock = 64;
-    std::vector<std::unique_ptr<RangeNode[]>> blocks_;
-    std::size_t blockUsed_ = 0;
+    static constexpr std::size_t kNodesPerChunk = 64;
+    std::vector<std::unique_ptr<RangeNode[]>> nodeChunks_;
+    std::size_t nodesUsed_ = 0;
     RangeNode *freeList_ = nullptr;
 
     /** Reusable scratches for contains()/insert(). */

@@ -129,17 +129,6 @@ TEST(PbaRangeCache, InsertLargerThanBudgetLeavesSubset)
     EXPECT_LE(cache.usedBytes(), 4 * kSectorBytes);
 }
 
-TEST(PbaRangeCache, ClearDropsEverything)
-{
-    PbaRangeCache cache(kBig, EvictionPolicy::Lru);
-    cache.insert({0, 16});
-    cache.insert({100, 16});
-    cache.clear();
-    EXPECT_EQ(cache.usedBytes(), 0u);
-    EXPECT_EQ(cache.entryCount(), 0u);
-    EXPECT_FALSE(cache.contains({0, 1}));
-}
-
 TEST(PbaRangeCache, PartialHitDoesNotCount)
 {
     PbaRangeCache cache(kBig, EvictionPolicy::Lru);
