@@ -60,6 +60,14 @@
 # (the checked-in BENCH_ingest.json is regenerated manually at full
 # iterations).
 #
+# The extra mode `perfbench-smoke` runs the benchmark for one second
+# on each of its three workloads (fig11, hot-reread, write-churn)
+# through python3 perfbench/run.py, which builds perfbench (Release)
+# into .bench_build. Each run replays every cell under the invariant
+# checker and compares its SimResult digest with the one recorded in
+# perfbench/digests.txt; run.py exits 1 when any cell fails or
+# differs, and that fails the gate.
+#
 # Usage:
 #   scripts/tier1.sh            # all three presets
 #   scripts/tier1.sh default    # just one
@@ -68,6 +76,7 @@
 #   scripts/tier1.sh crash-smoke
 #   scripts/tier1.sh gc-smoke
 #   scripts/tier1.sh ingest-smoke
+#   scripts/tier1.sh perfbench-smoke
 #   JOBS=8 scripts/tier1.sh     # override the build parallelism
 
 set -euo pipefail
@@ -177,7 +186,19 @@ run_ingest_smoke() {
         --json=BENCH_ingest.smoke.json
 }
 
+run_perfbench_smoke() {
+    echo "==> tier1: perfbench-smoke"
+    for workload in fig11 hot-reread write-churn; do
+        python3 perfbench/run.py --workload "${workload}" --seconds 1
+    done
+    echo "==> tier1: perfbench-smoke digests match perfbench/digests.txt"
+}
+
 for preset in "${PRESETS[@]}"; do
+    if [ "${preset}" = "perfbench-smoke" ]; then
+        run_perfbench_smoke
+        continue
+    fi
     if [ "${preset}" = "bench-smoke" ]; then
         run_bench_smoke
         continue
