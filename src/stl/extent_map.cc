@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "telemetry/metrics.h"
 #include "util/logging.h"
@@ -121,10 +122,13 @@ ExtentMap::freeInner(Inner *inner)
 }
 
 ExtentMap::Leaf *
-ExtentMap::descend(Lba lba) const
+ExtentMap::descend(Lba lba, Lba *window_end) const
 {
     if (root_ == nullptr)
         return nullptr;
+    // A node's keys lie inside its own window, so the deepest
+    // separator above lba is the tightest bound.
+    Lba bound = std::numeric_limits<Lba>::max();
     void *node = root_;
     for (std::uint32_t level = height_; level > 0; --level) {
         const Inner *inner = static_cast<const Inner *>(node);
@@ -139,8 +143,12 @@ ExtentMap::descend(Lba lba) const
             else
                 hi = mid;
         }
+        if (lo < inner->n)
+            bound = inner->keys[lo];
         node = inner->children[lo - 1];
     }
+    if (window_end != nullptr)
+        *window_end = bound;
     return static_cast<Leaf *>(node);
 }
 
@@ -182,23 +190,30 @@ ExtentMap::upperBound(Lba lba) const
     return leaf->next != nullptr ? Pos{leaf->next, 0} : Pos{};
 }
 
+std::uint32_t
+ExtentMap::firstAtOrAfter(const Leaf &leaf, Lba lba)
+{
+    std::uint32_t lo = 0;
+    std::uint32_t hi = leaf.n;
+    while (lo < hi) {
+        const std::uint32_t mid = (lo + hi) / 2;
+        if (leaf.entries[mid].lba < lba)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
 ExtentMap::Pos
 ExtentMap::lowerBound(Lba lba) const
 {
     Leaf *leaf = leafForRead(lba);
     if (leaf == nullptr)
         return {};
-    std::uint32_t lo = 0;
-    std::uint32_t hi = leaf->n;
-    while (lo < hi) {
-        const std::uint32_t mid = (lo + hi) / 2;
-        if (leaf->entries[mid].lba < lba)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    if (lo < leaf->n)
-        return {leaf, lo};
+    const std::uint32_t idx = firstAtOrAfter(*leaf, lba);
+    if (idx < leaf->n)
+        return {leaf, idx};
     return leaf->next != nullptr ? Pos{leaf->next, 0} : Pos{};
 }
 
@@ -349,15 +364,7 @@ ExtentMap::insertEntry(const Entry &entry)
     // the routing invariant guarantees the routed leaf is also the
     // globally sorted position.
     Leaf *leaf = descend(entry.lba);
-    std::uint32_t lo = 0;
-    std::uint32_t hi = leaf->n;
-    while (lo < hi) {
-        const std::uint32_t mid = (lo + hi) / 2;
-        if (leaf->entries[mid].lba < entry.lba)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
+    std::uint32_t lo = firstAtOrAfter(*leaf, entry.lba);
     panicIf(lo < leaf->n && leaf->entries[lo].lba == entry.lba,
             "ExtentMap::mapRange: range not cleared");
 
@@ -530,6 +537,102 @@ ExtentMap::tryMergeWithPrev(Pos p)
     return prev_pos;
 }
 
+bool
+ExtentMap::mapWithinLeaf(Leaf &leaf, Lba lba, Pba pba,
+                         SectorCount count,
+                         std::vector<SectorExtent> *displaced)
+{
+    Entry *const entries = leaf.entries;
+    const std::uint32_t n = leaf.n;
+    const Lba end = lba + count;
+
+    // [first, last) are the entries starting inside [lba, end). As
+    // end lies below the leaf's window end, any entry starting
+    // before end is in this leaf or an earlier one, and so is any
+    // entry starting at end.
+    const std::uint32_t first = firstAtOrAfter(leaf, lba);
+    std::uint32_t last = first;
+    while (last < n && entries[last].lba < end)
+        ++last;
+
+    // The entry before the write is cut or merged only in this
+    // leaf; the previous leaf's last entry must stay as it is.
+    Entry *left = first > 0 ? &entries[first - 1] : nullptr;
+    if (left == nullptr && leaf.prev != nullptr) {
+        const Entry &pred = leaf.prev->entries[leaf.prev->n - 1];
+        const Lba pred_end = pred.lba + pred.count;
+        if (pred_end > lba ||
+            (pred_end == lba && pred.pba + pred.count == pba))
+            return false;
+    }
+    const Lba left_end = left != nullptr ? left->lba + left->count : 0;
+
+    // The at most three survivors, coalesced as splitting, erasing,
+    // inserting and merging with both neighbours would: the left
+    // remnant (or the predecessor), the new run, and the right
+    // remnant (or the successor).
+    const bool merge_left = left != nullptr && left_end >= lba &&
+                            left->pba + (lba - left->lba) == pba;
+    Entry run{lba, pba, count};
+    const Entry *straddler = last > first ? &entries[last - 1] : left;
+    bool has_right = straddler != nullptr &&
+                     straddler->lba + straddler->count > end;
+    Entry right{};
+    if (has_right)
+        right = Entry{end, straddler->pba + (end - straddler->lba),
+                      straddler->lba + straddler->count - end};
+    std::uint32_t keep_from = last;
+    if (has_right && right.pba == pba + count) {
+        run.count += right.count;
+        has_right = false;
+    } else if (!has_right && last < n && entries[last].lba == end &&
+               entries[last].pba == pba + count) {
+        run.count += entries[last].count;
+        ++keep_from;
+    }
+
+    const std::uint32_t placed =
+        (merge_left ? 0u : 1u) + (has_right ? 1u : 0u);
+    const std::uint32_t new_n = first + placed + (n - keep_from);
+    if (new_n > kNodeCapacity)
+        return false;
+
+    // Report the covered pieces in LBA order: the cut-off tail of
+    // the left entry, then each entry starting inside the range.
+    SectorCount dropped = 0;
+    auto drop = [&](Pba from, SectorCount sectors) {
+        if (displaced != nullptr)
+            displaced->push_back(SectorExtent{from, sectors});
+        dropped += sectors;
+    };
+    if (left_end > lba) {
+        drop(left->pba + (lba - left->lba),
+             std::min(left_end, end) - lba);
+        left->count = lba - left->lba;
+    }
+    for (std::uint32_t i = first; i < last; ++i)
+        drop(entries[i].pba,
+             std::min(entries[i].lba + entries[i].count, end) -
+                 entries[i].lba);
+
+    if (first + placed != keep_from)
+        std::memmove(entries + first + placed, entries + keep_from,
+                     sizeof(Entry) * (n - keep_from));
+    std::uint32_t slot = first;
+    if (merge_left)
+        left->count += run.count;
+    else
+        entries[slot++] = run;
+    if (has_right)
+        entries[slot] = right;
+
+    leaf.n = new_n;
+    entryCount_ = entryCount_ - n + new_n;
+    mappedSectors_ = mappedSectors_ - dropped + count;
+    cursor_ = &leaf;
+    return true;
+}
+
 void
 ExtentMap::mapRange(Lba lba, Pba pba, SectorCount count,
                     std::vector<SectorExtent> *displaced)
@@ -537,7 +640,17 @@ ExtentMap::mapRange(Lba lba, Pba pba, SectorCount count,
     panicIf(count == 0, "ExtentMap::mapRange: empty range");
     const Lba end = lba + count;
 
-    // Carve out the target range, then drop whatever was inside it.
+    // One descent; a range ending inside the routed leaf's window
+    // is rewritten in that leaf alone. Every key the pass writes
+    // (the left remnant's start, lba, end) is in that window.
+    Lba window_end = 0;
+    Leaf *leaf = descend(lba, &window_end);
+    if (leaf != nullptr && end < window_end &&
+        mapWithinLeaf(*leaf, lba, pba, count, displaced))
+        return;
+
+    // Otherwise carve out the target range, then drop whatever was
+    // inside it.
     splitAt(lba);
     splitAt(end);
     eraseRange(lba, end, displaced);

@@ -17,8 +17,12 @@
  * state performs no per-operation heap allocation. Read-side
  * lookups first try a one-entry last-touched-leaf cursor — the
  * sequential runs that dominate these traces resolve without
- * descending the tree. See docs/performance.md for the layout and
- * the invariants that make the cursor sound.
+ * descending the tree. mapRange descends once; when the range ends
+ * inside the routed leaf's window and the result fits that leaf
+ * (about 98% of log writes), it rewrites the leaf with one tail
+ * shift, and only the rest split, erase and merge entry by entry.
+ * See docs/performance.md for the layout and the invariants that
+ * make the cursor and the single-leaf pass sound.
  */
 
 #ifndef LOGSEEK_STL_EXTENT_MAP_H
@@ -233,8 +237,13 @@ class ExtentMap
         std::uint32_t idx = 0;
     };
 
-    /** Separator-routed descent to the leaf owning lba's window. */
-    Leaf *descend(Lba lba) const;
+    /**
+     * Separator-routed descent to the leaf owning lba's window. If
+     * window_end is non-null it receives the window's exclusive
+     * upper bound: the last separator above lba met on the way
+     * down, or the largest Lba for the last leaf.
+     */
+    Leaf *descend(Lba lba, Lba *window_end = nullptr) const;
 
     /**
      * Leaf for a read-side lookup of lba: the cursor when its
@@ -249,6 +258,9 @@ class ExtentMap
 
     /** First position with entry lba >= lba (end() if none). */
     Pos lowerBound(Lba lba) const;
+
+    /** Index of leaf's first entry with lba >= lba (leaf.n if none). */
+    static std::uint32_t firstAtOrAfter(const Leaf &leaf, Lba lba);
 
     /** Step p back one entry; false (p untouched) at begin(). */
     bool tryPrev(Pos &p) const;
@@ -290,6 +302,17 @@ class ExtentMap
 
     /** Coalesce the entry at p with its predecessor if possible. */
     Pos tryMergeWithPrev(Pos p);
+
+    /**
+     * mapRange's single-leaf pass, for a range that ends below the
+     * end of the window of `leaf`, the leaf descend(lba) returned.
+     * Rewrites the leaf in one tail shift and returns true, or
+     * returns false without touching anything when the predecessor
+     * in the previous leaf would be cut or merged, or the result
+     * would overflow the leaf.
+     */
+    bool mapWithinLeaf(Leaf &leaf, Lba lba, Pba pba, SectorCount count,
+                       std::vector<SectorExtent> *displaced);
 
     Leaf *allocLeaf();
     void freeLeaf(Leaf *leaf);
