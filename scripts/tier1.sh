@@ -13,16 +13,17 @@
 #
 # The extra mode `bench-smoke` builds the default preset's
 # perf_extent_map / perf_simulator benchmarks and runs them at
-# reduced iterations, writing BENCH_extent_map.smoke.json — a quick
-# sanity check that the translation hot path still beats the
-# preserved std::map reference (CI uploads the file as an artifact;
-# the checked-in BENCH_extent_map.json is regenerated manually at
-# full iterations). The smoke artifact records the box's nproc so
-# a ~1x parallel speedup on a 1-CPU runner is not misread as a
-# regression, and a jobs-smoke leg replays the Figure 11 sweep
-# once at --jobs 1 and once at --jobs 2, diffing the two reports
-# with their timing fields stripped — byte-identical cell-parallel
-# sweeps checked end-to-end through the real CLI.
+# reduced iterations, writing BENCH_extent_map.smoke.json. It fails
+# when the map or translate speedup over the preserved std::map
+# reference is below 1.0 at the largest level (CI uploads the file
+# as an artifact; the checked-in BENCH_extent_map.json is
+# regenerated manually at full iterations). The smoke artifact
+# records the box's nproc so a ~1x parallel speedup on a 1-CPU
+# runner is not misread as a regression, and a jobs-smoke leg
+# replays the Figure 11 sweep once at --jobs 1 and once at
+# --jobs 2, diffing the two reports with their timing fields
+# stripped — byte-identical cell-parallel sweeps checked end-to-end
+# through the real CLI.
 #
 # The extra mode `fault-smoke` builds device_fault_sweep under the
 # asan preset and runs the fault matrix at small scale with an
@@ -96,6 +97,21 @@ run_bench_smoke() {
         --target perf_extent_map perf_simulator
     build/bench/perf_extent_map \
         --json=BENCH_extent_map.smoke.json --translate-iters=50000
+    # Only the largest level (about 172k entries) is gated: the
+    # smaller ones run too briefly to compare reliably.
+    python3 - BENCH_extent_map.smoke.json <<'EOF'
+import json
+import sys
+
+levels = json.load(open(sys.argv[1]))["extent_map"]["levels"]
+largest = max(levels, key=lambda level: level["entries"])
+slow = [key for key in ("mapSpeedup", "translateSpeedup")
+        if largest[key] < 1.0]
+for key in slow:
+    print("==> tier1: bench-smoke %s %.2f < 1.0 at %d entries"
+          % (key, largest[key], largest["entries"]), file=sys.stderr)
+sys.exit(1 if slow else 0)
+EOF
     build/bench/perf_simulator \
         --json=BENCH_extent_map.smoke.json --ops=20000 --reps=1
     echo "{\"nproc\": $(nproc 2>/dev/null || echo 1)}" \
