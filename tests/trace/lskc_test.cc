@@ -254,6 +254,109 @@ TEST(LskcTrace, SeededFaultSweepIsAlwaysTyped)
     std::remove(path.c_str());
 }
 
+/** True when /dev/full (writes fail with ENOSPC) can be opened. */
+bool
+haveDevFull()
+{
+    return static_cast<bool>(std::ofstream("/dev/full"));
+}
+
+TEST(LskcTrace, WriterShortWriteIsUnavailable)
+{
+    if (!haveDevFull())
+        GTEST_SKIP() << "/dev/full cannot be opened";
+    // Large enough that a section buffer spills to the device
+    // before the final flush.
+    const Status status =
+        tryWriteLskcFile("/dev/full", randomTrace(23, 100000));
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::Unavailable);
+    EXPECT_NE(status.message().find("short write"),
+              std::string::npos)
+        << status.message();
+}
+
+TEST(LskcTrace, WriterFlushFailureIsUnavailable)
+{
+    if (!haveDevFull())
+        GTEST_SKIP() << "/dev/full cannot be opened";
+    // One record stays buffered until the header is patched in,
+    // so the first failing write is the final flush.
+    Trace trace("one");
+    trace.appendRead(0, 8, 0);
+    const Status status = tryWriteLskcFile("/dev/full", trace);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::Unavailable);
+    EXPECT_NE(status.message().find("flush failed"),
+              std::string::npos)
+        << status.message();
+}
+
+TEST(LskcTrace, WriterMissingDirectoryIsUnavailable)
+{
+    const std::string path = "/tmp/logseek_lskc_missing_" +
+                             std::to_string(::getpid()) +
+                             "/trace.lskc";
+    const Status status = tryWriteLskcFile(path, sampleTrace());
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::Unavailable);
+    EXPECT_NE(status.message().find("cannot create trace file"),
+              std::string::npos)
+        << status.message();
+}
+
+/** An input that drops its last record from the second pass on,
+ *  breaking the reset() contract the writer relies on. */
+class ShrinkingInput final : public TraceInput
+{
+  public:
+    explicit ShrinkingInput(const Trace &trace) : trace_(trace) {}
+
+    const std::string &name() const override
+    {
+        return trace_.name();
+    }
+    Lba addressSpaceEnd() const override
+    {
+        return trace_.addressSpaceEnd();
+    }
+    std::size_t
+    next(IoEventBatch &batch, std::size_t max) override
+    {
+        const std::size_t end =
+            passes_ > 1 ? trace_.size() - 1 : trace_.size();
+        const std::size_t n = std::min(max, end - pos_);
+        if (n == 0)
+            return 0;
+        batch.buildFrom(trace_, pos_, pos_ + n);
+        pos_ += n;
+        return n;
+    }
+    void
+    reset() override
+    {
+        pos_ = 0;
+        ++passes_;
+    }
+
+  private:
+    const Trace &trace_;
+    std::size_t pos_ = 0;
+    std::size_t passes_ = 0;
+};
+
+TEST(LskcTrace, WriterInputThatChangesBetweenPassesIsDataLoss)
+{
+    const Trace trace = randomTrace(29, 50);
+    ShrinkingInput input(trace);
+    const std::string path = tempPath("shrinking");
+    const Status status = tryWriteLskcFile(path, input);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::DataLoss)
+        << status.message();
+    std::remove(path.c_str());
+}
+
 TEST(LskcTrace, FormatSniffRecognizesAllThreeFormats)
 {
     const std::string lskc = tempPath("sniff");
