@@ -209,6 +209,13 @@ tryWriteLskcFile(const std::string &path, TraceInput &input)
 {
     const telemetry::ScopedSpan span("lskc-write:" + input.name(),
                                      "ingest");
+    // Reject the name before opening `path`: opening truncates it,
+    // and a rejected write must leave an existing file intact.
+    const std::string name = input.name();
+    if (name.size() > kMaxNameBytes)
+        return invalidArgumentError(
+            "lskc trace '" + name + "': name exceeds " +
+            std::to_string(kMaxNameBytes) + " bytes");
     std::ofstream out(path, std::ios::binary);
     if (!out) {
         const int saved_errno = errno;
@@ -216,12 +223,6 @@ tryWriteLskcFile(const std::string &path, TraceInput &input)
                                 path + ": " +
                                 std::strerror(saved_errno));
     }
-
-    const std::string name = input.name();
-    if (name.size() > kMaxNameBytes)
-        return invalidArgumentError(
-            "lskc trace '" + name + "': name exceeds " +
-            std::to_string(kMaxNameBytes) + " bytes");
     const std::size_t header_len =
         8 + 8 + 4 + name.size() +
         kSectionCount * kSectionDescBytes;

@@ -357,6 +357,30 @@ TEST(LskcTrace, WriterInputThatChangesBetweenPassesIsDataLoss)
     std::remove(path.c_str());
 }
 
+TEST(LskcTrace, OverLongNameLeavesExistingFileIntact)
+{
+    const Trace original = randomTrace(31, 2000);
+    const std::string path = tempPath("longname");
+    ASSERT_TRUE(tryWriteLskcFile(path, original).ok());
+    const std::string before = readFileBytes(path);
+
+    Trace renamed = original;
+    renamed.setName(std::string(70000, 'n'));
+    const Status status = tryWriteLskcFile(path, renamed);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::InvalidArgument);
+
+    // The rejected write must not have truncated the old file: it
+    // still opens and replays exactly as before.
+    EXPECT_EQ(readFileBytes(path), before);
+    const auto source = LskcSource::tryOpen(path);
+    ASSERT_TRUE(source.ok()) << source.status().message();
+    stl::Simulator simulator;
+    const std::unique_ptr<TraceInput> view = source.value()->open();
+    EXPECT_TRUE(simulator.run(*view) == simulator.run(original));
+    std::remove(path.c_str());
+}
+
 TEST(LskcTrace, FormatSniffRecognizesAllThreeFormats)
 {
     const std::string lskc = tempPath("sniff");
