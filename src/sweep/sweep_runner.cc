@@ -1,6 +1,7 @@
 #include "sweep_runner.h"
 
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -26,7 +27,8 @@ secondsSince(std::chrono::steady_clock::time_point start)
 /**
  * Run `body` (returning a Status) and turn anything it throws into
  * the matching Status, so one bad cell or trace fails its own rows
- * and never the sweep.
+ * and never the sweep. Exceptions from outside logseek's error
+ * types are Internal.
  */
 template <class Body>
 Status
@@ -40,6 +42,10 @@ captureStatus(Body &&body)
         return internalError(e.what());
     } catch (const FatalError &e) {
         return invalidArgumentError(e.what());
+    } catch (const std::exception &e) {
+        return internalError(e.what());
+    } catch (...) {
+        return internalError("non-standard exception");
     }
 }
 

@@ -15,6 +15,7 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -333,6 +334,51 @@ TEST(SweepRunnerTest, FailingLoaderFailsOnlyItsOwnRow)
     EXPECT_FALSE(broken.status.ok());
     EXPECT_NE(broken.status.message().find("broken loader"),
               std::string::npos);
+}
+
+TEST(SweepRunnerTest, StandardExceptionsFailTheirCells)
+{
+    // Exceptions outside logseek's own error types must still fail
+    // their cells, and every cell must still report completion.
+    std::vector<WorkloadSpec> specs;
+    specs.push_back(WorkloadSpec::profile("w91", tinyProfile()));
+    specs.push_back({"throws-runtime-error",
+                     []() -> trace::Trace {
+                         throw std::runtime_error("loader blew up");
+                     },
+                     nullptr});
+    std::vector<ConfigSpec> configs;
+    configs.push_back(ConfigSpec::fixed(
+        "NoLS", configFor(stl::TranslationKind::Conventional)));
+    configs.push_back(ConfigSpec::deferred(
+        "throws-out-of-range",
+        [](const trace::Trace &) -> stl::SimConfig {
+            throw std::out_of_range("config blew up");
+        }));
+
+    std::atomic<int> completed{0};
+    SweepOptions options;
+    options.jobs = 2;
+    options.onCellComplete = [&](const RunRow &) {
+        completed.fetch_add(1);
+    };
+    const SweepResult sweep =
+        SweepRunner(std::move(specs), std::move(configs), options)
+            .run();
+
+    EXPECT_EQ(completed.load(), 4);
+    EXPECT_TRUE(sweep.row(0, 0).status.ok());
+    EXPECT_EQ(sweep.row(0, 1).status.code(), StatusCode::Internal);
+    EXPECT_NE(sweep.row(0, 1).status.message().find("config blew up"),
+              std::string::npos);
+    for (std::size_t c = 0; c < 2; ++c) {
+        const Status &status = sweep.row(1, c).status;
+        EXPECT_EQ(status.code(), StatusCode::Internal) << c;
+        EXPECT_NE(status.message().find("loader blew up"),
+                  std::string::npos)
+            << c;
+    }
+    EXPECT_EQ(sweep.telemetry.failedRuns, 3u);
 }
 
 TEST(SweepRunnerTest, OnTraceHookSeesEveryWorkloadOnce)
