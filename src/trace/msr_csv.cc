@@ -235,6 +235,13 @@ tryParseMsrCsv(std::istream &in, const std::string &name,
                              "': stream read error after line " +
                              std::to_string(line_number));
     }
+    // A trace with no valid line is not a trace, however few
+    // lines were skipped to get there.
+    if (summary.skipped > 0 && summary.parsed == 0)
+        return dataLossError(
+            "msr csv '" + name + "': no valid line (" +
+            std::to_string(summary.skipped) + " of " +
+            std::to_string(summary.lines) + " lines malformed)");
     if (summary.skipped > 0) {
         warn("msr csv '" + name + "': skipped " +
              std::to_string(summary.skipped) + " of " +

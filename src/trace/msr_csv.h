@@ -48,7 +48,8 @@ struct MsrCsvOptions
      * Error budget in skipMalformed mode: the maximum number of
      * malformed lines tolerated before the whole trace is rejected
      * with ResourceExhausted. A trace that is mostly garbage should
-     * not silently shrink to its few parseable lines.
+     * not silently shrink to its few parseable lines, and one with
+     * no parseable line at all is DataLoss whatever the budget.
      */
     std::uint64_t errorBudget = 1000;
 
@@ -97,9 +98,10 @@ struct MsrParseResult
  * @param name Workload name to give the resulting trace.
  * @param options Parse options.
  * @return The parsed trace and summary, or a typed error:
- *         DataLoss for a malformed line (strict mode) or a stream
- *         I/O failure, ResourceExhausted when skipMalformed skips
- *         more than options.errorBudget lines.
+ *         DataLoss for a malformed line (strict mode), for a
+ *         skipMalformed parse that skipped lines and kept none, or
+ *         for a stream I/O failure; ResourceExhausted when
+ *         skipMalformed skips more than options.errorBudget lines.
  */
 StatusOr<MsrParseResult>
 tryParseMsrCsv(std::istream &in, const std::string &name,

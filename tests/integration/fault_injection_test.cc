@@ -189,12 +189,21 @@ TEST(FaultInjection, CsvSeededTruncationSkipMode)
     options.skipMalformed = true;
     options.maxWarnings = 0; // keep the test log quiet
     for (std::uint64_t seed = 0; seed < 40; ++seed) {
-        std::istringstream in(injectTruncation(bytes, seed));
+        const std::string cut = injectTruncation(bytes, seed);
+        std::istringstream in(cut);
         const StatusOr<MsrParseResult> result =
             tryParseMsrCsv(in, "victim", options);
         // With skipping enabled and a generous budget, truncation
-        // can only shrink the trace, never fail it.
-        ASSERT_TRUE(result.ok()) << "seed " << seed;
+        // can only shrink the trace. It fails only when the cut
+        // keeps no whole line: a torn first line and nothing else
+        // is no trace at all.
+        if (!result.ok()) {
+            EXPECT_EQ(result.status().code(), StatusCode::DataLoss)
+                << "seed " << seed;
+            EXPECT_EQ(cut.find('\n'), std::string::npos)
+                << "seed " << seed;
+            continue;
+        }
         const MsrParseSummary &summary = result.value().summary;
         EXPECT_EQ(summary.parsed + summary.skipped, summary.lines)
             << "seed " << seed;
@@ -246,6 +255,51 @@ TEST(FaultInjection, CsvErrorBudgetRejectsMostlyGarbageTrace)
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(),
               StatusCode::ResourceExhausted);
+}
+
+/**
+ * The bytes of a trace in the retired row-major binary format: the
+ * "LSKT" magic, version 1, a name, a record count and fixed-width
+ * little-endian records. Such a file now sniffs as CSV.
+ */
+std::string
+oldLsktBytes(const Trace &trace)
+{
+    std::string bytes = "LSKT";
+    auto put = [&bytes](std::uint64_t value, int width) {
+        for (int i = 0; i < width; ++i)
+            bytes.push_back(static_cast<char>(value >> (8 * i)));
+    };
+    put(1, 4);
+    put(trace.name().size(), 4);
+    bytes += trace.name();
+    put(trace.size(), 8);
+    for (const IoRecord &record : trace) {
+        put(record.timestampUs, 8);
+        put(record.isWrite() ? 1 : 0, 1);
+        put(record.extent.start, 8);
+        put(record.extent.count, 8);
+    }
+    return bytes;
+}
+
+TEST(FaultInjection, CsvSkipModeRejectsTraceWithNoValidLine)
+{
+    // Fewer malformed lines than the error budget, and not one
+    // valid line: skip mode must not return an empty trace.
+    MsrCsvOptions options;
+    options.skipMalformed = true;
+    options.maxWarnings = 0;
+    for (const std::string &bytes :
+         {std::string("garbage\n,,,,,,\n0,h,0,Erase,0,512,0\n"),
+          oldLsktBytes(victimTrace())}) {
+        std::istringstream in(bytes);
+        const StatusOr<MsrParseResult> result =
+            tryParseMsrCsv(in, "garbage", options);
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.status().code(), StatusCode::DataLoss)
+            << result.status().message();
+    }
 }
 
 TEST(FaultInjection, ReplayRejectsOverflowingTraceWithTypedError)
