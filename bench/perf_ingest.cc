@@ -5,7 +5,6 @@
  *
  * Legs:
  *  - csv_parse:    MSR CSV text -> Trace (trace/msr_csv.h)
- *  - lskt_decode:  row-major binary -> Trace (trace/binary.h)
  *  - lskc_open:    columnar mmap open + full validation
  *  - lskc_iterate: pulling every record through the zero-copy view
  *                  and reading all three columns of each
@@ -52,7 +51,6 @@
 #include <vector>
 
 #include "stl/simulator.h"
-#include "trace/binary.h"
 #include "trace/lskc.h"
 #include "trace/msr_csv.h"
 #include "util/random.h"
@@ -215,7 +213,6 @@ main(int argc, char **argv)
         ("perf_ingest." + std::to_string(::getpid()));
     std::filesystem::create_directories(dir);
     const std::string csv_path = (dir / "trace.csv").string();
-    const std::string lskt_path = (dir / "trace.lskt").string();
     const std::string lskc_path = (dir / "trace.lskc").string();
 
     const trace::Trace source = buildTrace(file_records);
@@ -223,7 +220,6 @@ main(int argc, char **argv)
         std::ofstream csv(csv_path, std::ios::binary);
         trace::writeMsrCsv(csv, source, "bench", 0);
     }
-    trace::tryWriteBinaryTraceFile(lskt_path, source).orFatal();
     trace::tryWriteLskcFile(lskc_path, source).orFatal();
 
     bool ok = true;
@@ -241,16 +237,6 @@ main(int argc, char **argv)
     }
     const Leg csv_parse = leg(source.size(), fileBytes(csv_path),
                               secondsSince(start), iters);
-
-    // --- lskt_decode ----------------------------------------------
-    start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i)
-        trace::tryReadBinaryTraceFile(lskt_path)
-            .status()
-            .orFatal();
-    const Leg lskt_decode = leg(source.size(),
-                                fileBytes(lskt_path),
-                                secondsSince(start), iters);
 
     // --- lskc_open (map + full validation, no record pull) --------
     const int open_iters = iters * 4;
@@ -415,10 +401,6 @@ main(int argc, char **argv)
          << jsonNumber(csv_parse.recordsPerSec)
          << ", \"mb_per_sec\": "
          << jsonNumber(csv_parse.mbPerSec) << "},\n";
-    json << "    \"lskt_decode\": {\"records_per_sec\": "
-         << jsonNumber(lskt_decode.recordsPerSec)
-         << ", \"mb_per_sec\": "
-         << jsonNumber(lskt_decode.mbPerSec) << "},\n";
     json << "    \"lskc_open\": {\"records_per_sec\": "
          << jsonNumber(lskc_open.recordsPerSec)
          << ", \"mb_per_sec\": "
@@ -465,8 +447,6 @@ main(int argc, char **argv)
               << " records, sink " << (sink & 1) << ")\n"
               << "  csv_parse     "
               << jsonNumber(csv_parse.mbPerSec) << " MB/s\n"
-              << "  lskt_decode   "
-              << jsonNumber(lskt_decode.mbPerSec) << " MB/s\n"
               << "  lskc_open     "
               << jsonNumber(lskc_open.mbPerSec) << " MB/s ("
               << jsonNumber(open_vs_csv) << "x csv)\n"

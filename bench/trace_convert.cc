@@ -1,7 +1,7 @@
 /**
  * @file
- * Trace file converter: rewrite a trace between MSR CSV, LSKT and
- * the columnar LSKC format.
+ * Trace file converter: rewrite a trace between MSR CSV and the
+ * columnar LSKC format.
  *
  *   trace_convert <input> --convert-out <output>
  *                 [--trace-format F] [--out-format F]
@@ -27,8 +27,8 @@ using namespace logseek;
 
 constexpr const char *kUsage =
     "usage: trace_convert <input> --convert-out <output>\n"
-    "                     [--trace-format auto|csv|lskt|lskc]\n"
-    "                     [--out-format auto|csv|lskt|lskc]\n";
+    "                     [--trace-format auto|csv|lskc]\n"
+    "                     [--out-format auto|csv|lskc]\n";
 
 } // namespace
 

@@ -2,40 +2,25 @@
  * @file
  * Example: export a named synthetic workload as an on-disk trace —
  * MSR-format CSV (interoperable with existing block-trace tooling)
- * or the compact LSKT binary format. Lets external simulators and
- * the paper's original scripts consume logseek's calibrated
- * workloads.
+ * or the columnar LSKC binary format, chosen by the output path's
+ * extension. Lets external simulators and the paper's original
+ * scripts consume logseek's calibrated workloads.
  *
- * Usage: make_trace <workload> <out.csv|out.lskt> [scale] [seed]
+ * Usage: make_trace <workload> <out.csv|out.lskc> [scale] [seed]
  *        make_trace --list
  */
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include "analysis/report.h"
-#include "trace/binary.h"
-#include "trace/msr_csv.h"
+#include "trace/convert.h"
 #include "trace/stats.h"
 #include "util/logging.h"
 #include "workloads/profiles.h"
 
-namespace
-{
-
 using namespace logseek;
-
-bool
-endsWith(const std::string &text, const std::string &suffix)
-{
-    return text.size() >= suffix.size() &&
-           text.compare(text.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -49,7 +34,7 @@ main(int argc, char **argv)
     }
     if (argc < 3) {
         std::cerr << "usage: make_trace <workload> "
-                     "<out.csv|out.lskt> [scale] [seed]\n"
+                     "<out.csv|out.lskc> [scale] [seed]\n"
                      "       make_trace --list\n";
         return 1;
     }
@@ -66,14 +51,7 @@ main(int argc, char **argv)
     try {
         const trace::Trace trace =
             workloads::makeWorkload(name, options);
-        if (endsWith(path, ".lskt")) {
-            trace::writeBinaryTraceFile(path, trace);
-        } else {
-            std::ofstream out(path);
-            if (!out)
-                fatal("cannot create " + path);
-            trace::writeMsrCsv(out, trace);
-        }
+        trace::tryWriteTraceFile(path, trace).orFatal();
         const trace::TraceStats stats = trace::computeStats(trace);
         std::cout << "wrote " << trace.size() << " requests ("
                   << stats.readCount << " reads, "

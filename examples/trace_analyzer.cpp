@@ -3,18 +3,22 @@
  * Example: a command-line analyzer for real block traces in the MSR
  * Cambridge CSV format — the pipeline the paper runs on its traces,
  * usable unchanged on the public MSR files
- * ("timestamp,host,disk,Read|Write,offset,bytes,latency").
+ * ("timestamp,host,disk,Read|Write,offset,bytes,latency") — or in
+ * the columnar LSKC format, recognized by its magic.
  *
  * Prints Table-I style characteristics, mis-ordered write fraction
  * (Fig. 8), NoLS/LS seek counts (Fig. 2), fragmentation statistics
  * (Fig. 5) and the SAF of every mechanism (Fig. 11) for the trace.
  *
  * Usage:
- *   trace_analyzer <trace.csv|trace.lskt> [disk_number]
+ *   trace_analyzer <trace.csv|trace.lskc> [disk_number]
  *   trace_analyzer --demo              analyze a built-in workload
- *   trace_analyzer --convert <in.csv> <out.lskt>
- *                                      re-encode CSV as the compact
- *                                      LSKT binary format
+ *   trace_analyzer --convert <in> <out.csv|out.lskc>
+ *                                      convert a trace to the format
+ *                                      the output extension names
+ *
+ * CSV input is parsed in skip mode: malformed lines are skipped
+ * with a warning, and a file with no valid line is an error.
  */
 
 #include <cstdlib>
@@ -25,7 +29,8 @@
 #include "analysis/observers.h"
 #include "analysis/report.h"
 #include "stl/simulator.h"
-#include "trace/binary.h"
+#include "trace/convert.h"
+#include "trace/format.h"
 #include "trace/msr_csv.h"
 #include "trace/stats.h"
 #include "util/logging.h"
@@ -126,13 +131,33 @@ analyze(const trace::Trace &trace)
     saf.print(std::cout);
 }
 
+/** The trace in `path`: LSKC by its magic, anything else as MSR CSV
+ *  in skip mode, filtered to `disk` unless it is negative. */
+trace::Trace
+loadTrace(const std::string &path, int disk)
+{
+    const StatusOr<trace::TraceFormat> format =
+        trace::resolveTraceFormat(path, trace::TraceFormat::Auto);
+    format.status().orFatal();
+    if (format.value() == trace::TraceFormat::Csv) {
+        trace::MsrCsvOptions options;
+        options.skipMalformed = true;
+        options.diskFilter = disk;
+        return trace::parseMsrCsvFile(path, path, options);
+    }
+    StatusOr<trace::Trace> loaded =
+        trace::tryLoadTraceFile(path, format.value());
+    loaded.status().orFatal();
+    return std::move(loaded).value();
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     if (argc < 2) {
-        std::cerr << "usage: trace_analyzer <trace.csv|.lskt> "
+        std::cerr << "usage: trace_analyzer <trace.csv|.lskc> "
                      "[disk_number] | --demo | --convert <in> "
                      "<out>\n";
         return 1;
@@ -147,28 +172,17 @@ main(int argc, char **argv)
         if (arg == "--convert") {
             if (argc < 4) {
                 std::cerr << "usage: trace_analyzer --convert "
-                             "<in.csv> <out.lskt>\n";
+                             "<in> <out.csv|out.lskc>\n";
                 return 1;
             }
-            trace::MsrCsvOptions csv_options;
-            csv_options.skipMalformed = true;
-            const trace::Trace trace = trace::parseMsrCsvFile(
-                argv[2], argv[2], csv_options);
-            trace::writeBinaryTraceFile(argv[3], trace);
-            std::cout << "wrote " << trace.size() << " records to "
-                      << argv[3] << "\n";
+            const StatusOr<trace::ConvertSummary> converted =
+                trace::tryConvertTraceFile(argv[2], argv[3]);
+            converted.status().orFatal();
+            std::cout << "wrote " << converted.value().records
+                      << " records to " << argv[3] << "\n";
             return 0;
         }
-        if (arg.size() > 5 &&
-            arg.substr(arg.size() - 5) == ".lskt") {
-            analyze(trace::readBinaryTraceFile(arg));
-            return 0;
-        }
-        trace::MsrCsvOptions options;
-        options.skipMalformed = true;
-        if (argc > 2)
-            options.diskFilter = std::atoi(argv[2]);
-        analyze(trace::parseMsrCsvFile(arg, arg, options));
+        analyze(loadTrace(arg, argc > 2 ? std::atoi(argv[2]) : -1));
     } catch (const logseek::FatalError &error) {
         std::cerr << "error: " << error.what() << "\n";
         return 1;

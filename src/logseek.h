@@ -34,7 +34,6 @@
 #include "sweep/report.h"
 #include "sweep/sweep_runner.h"
 #include "sweep/task_pool.h"
-#include "trace/binary.h"
 #include "trace/msr_csv.h"
 #include "trace/record.h"
 #include "trace/reorder.h"

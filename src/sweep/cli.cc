@@ -230,7 +230,7 @@ benchHelp(const std::string &name)
         "override in segments [1, 1024]\n"
         "  --trace-format F     format of trace files read or "
         "converted:\n"
-        "                       auto, csv, lskt or lskc "
+        "                       auto, csv or lskc "
         "(default auto)\n"
         "  --convert-out file   export the first workload's trace "
         "to this path\n"

@@ -104,7 +104,7 @@ struct BenchCli
     std::uint32_t cleanReserve = 0;
 
     /** Declared format of trace files a bench reads or converts
-     *  (--trace-format {auto, csv, lskt, lskc}); Auto (the
+     *  (--trace-format {auto, csv, lskc}); Auto (the
      *  default) resolves by magic sniff / extension. Parsed
      *  strictly — any other spelling is InvalidArgument. */
     trace::TraceFormat traceFormat = trace::TraceFormat::Auto;

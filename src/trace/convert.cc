@@ -6,7 +6,6 @@
 #include <sys/stat.h>
 
 #include "telemetry/trace_writer.h"
-#include "trace/binary.h"
 #include "trace/input.h"
 #include "trace/lskc.h"
 #include "trace/msr_csv.h"
@@ -60,8 +59,6 @@ tryLoadTraceFile(const std::string &path, TraceFormat format,
             return parsed.status();
         return std::move(parsed).value().trace;
     }
-    case TraceFormat::Lskt:
-        return tryReadBinaryTraceFile(path);
     case TraceFormat::Lskc:
         return tryReadLskcFile(path);
     case TraceFormat::Auto:
@@ -92,8 +89,6 @@ tryWriteTraceFile(const std::string &path, const Trace &trace,
         return os ? Status()
                   : unavailableError("short write: " + path);
     }
-    case TraceFormat::Lskt:
-        return tryWriteBinaryTraceFile(path, trace);
     case TraceFormat::Lskc:
         return tryWriteLskcFile(path, trace);
     case TraceFormat::Auto:
@@ -101,7 +96,7 @@ tryWriteTraceFile(const std::string &path, const Trace &trace,
     }
     return invalidArgumentError(
         "cannot infer the output format of '" + path +
-        "'; name it *.csv/*.lskt/*.lskc or pass "
+        "'; name it *.csv or *.lskc or pass "
         "--trace-format");
 }
 
@@ -123,7 +118,7 @@ tryConvertTraceFile(const std::string &in_path,
     if (out == TraceFormat::Auto)
         return invalidArgumentError(
             "cannot infer the output format of '" + out_path +
-            "'; name it *.csv/*.lskt/*.lskc or pass "
+            "'; name it *.csv or *.lskc or pass "
             "--trace-format");
 
     StatusOr<Trace> trace =

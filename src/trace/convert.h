@@ -2,8 +2,8 @@
  * @file
  * Format-agnostic trace loading and conversion.
  *
- * tryLoadTraceFile reads any supported trace file (MSR CSV, LSKT,
- * LSKC) into an in-RAM Trace; tryConvertTraceFile rewrites a trace
+ * tryLoadTraceFile reads any supported trace file (MSR CSV or LSKC)
+ * into an in-RAM Trace; tryConvertTraceFile rewrites a trace
  * file from one format to another — the tools-level entry point
  * behind bench/trace_convert and the --trace-format/--convert-out
  * CLI flags. Conversion is deterministic: converting the same
@@ -28,7 +28,7 @@ namespace logseek::trace
  * Load a trace file of any supported format into an in-RAM Trace.
  * `format` Auto sniffs the file (resolveTraceFormat). `name` is
  * used for CSV traces, which do not carry one; empty derives it
- * from the file name. LSKT/LSKC traces keep their embedded name.
+ * from the file name. LSKC traces keep their embedded name.
  */
 StatusOr<Trace> tryLoadTraceFile(
     const std::string &path,

@@ -17,8 +17,6 @@ toString(TraceFormat format)
         return "auto";
     case TraceFormat::Csv:
         return "csv";
-    case TraceFormat::Lskt:
-        return "lskt";
     case TraceFormat::Lskc:
         return "lskc";
     }
@@ -32,13 +30,11 @@ parseTraceFormat(std::string_view text)
         return TraceFormat::Auto;
     if (text == "csv")
         return TraceFormat::Csv;
-    if (text == "lskt")
-        return TraceFormat::Lskt;
     if (text == "lskc")
         return TraceFormat::Lskc;
     return invalidArgumentError(
         "bad trace format '" + std::string(text) +
-        "' (expected auto, csv, lskt or lskc)");
+        "' (expected auto, csv or lskc)");
 }
 
 TraceFormat
@@ -55,8 +51,6 @@ formatFromPath(const std::string &path)
                    });
     if (ext == "csv")
         return TraceFormat::Csv;
-    if (ext == "lskt")
-        return TraceFormat::Lskt;
     if (ext == "lskc")
         return TraceFormat::Lskc;
     return TraceFormat::Auto;
@@ -75,14 +69,11 @@ resolveTraceFormat(const std::string &path, TraceFormat declared)
     }
     char magic[4] = {};
     in.read(magic, sizeof(magic));
-    // A file shorter than a magic cannot be a binary trace; let
-    // the CSV parser report whatever it is.
-    if (in.gcount() == sizeof(magic)) {
-        if (std::memcmp(magic, "LSKT", 4) == 0)
-            return TraceFormat::Lskt;
-        if (std::memcmp(magic, "LSKC", 4) == 0)
-            return TraceFormat::Lskc;
-    }
+    // Anything without the LSKC magic, a file shorter than one
+    // included, goes to the CSV parser, which reports what it is.
+    if (in.gcount() == sizeof(magic) &&
+        std::memcmp(magic, "LSKC", 4) == 0)
+        return TraceFormat::Lskc;
     return TraceFormat::Csv;
 }
 

@@ -2,12 +2,11 @@
  * @file
  * Trace file formats and their detection.
  *
- * Three on-disk formats exist: MSR-Cambridge CSV (trace/msr_csv.h),
- * the row-major binary LSKT (trace/binary.h) and the columnar LSKC
- * (trace/lskc.h). TraceFormat names them; Auto resolves by magic
- * sniff for existing files and by extension for files about to be
- * written. parseTraceFormat is the strict CLI-facing parser behind
- * --trace-format.
+ * Two on-disk formats exist: MSR-Cambridge CSV (trace/msr_csv.h)
+ * and the columnar binary LSKC (trace/lskc.h). TraceFormat names
+ * them; Auto resolves by magic sniff for existing files and by
+ * extension for files about to be written. parseTraceFormat is the
+ * strict CLI-facing parser behind --trace-format.
  */
 
 #ifndef LOGSEEK_TRACE_FORMAT_H
@@ -26,7 +25,6 @@ enum class TraceFormat
 {
     Auto,
     Csv,
-    Lskt,
     Lskc,
 };
 
@@ -34,14 +32,14 @@ enum class TraceFormat
 const char *toString(TraceFormat format);
 
 /**
- * Strict parse of a --trace-format value: exactly "auto", "csv",
- * "lskt" or "lskc" (lower case). Anything else is InvalidArgument
- * naming the offending value and the accepted set.
+ * Strict parse of a --trace-format value: exactly "auto", "csv" or
+ * "lskc" (lower case). Anything else is InvalidArgument naming the
+ * offending value and the accepted set.
  */
 StatusOr<TraceFormat> parseTraceFormat(std::string_view text);
 
 /**
- * Format implied by a path's extension (".csv", ".lskt", ".lskc",
+ * Format implied by a path's extension (".csv" or ".lskc",
  * case-insensitive); Auto when the extension implies nothing.
  */
 TraceFormat formatFromPath(const std::string &path);
@@ -49,9 +47,9 @@ TraceFormat formatFromPath(const std::string &path);
 /**
  * Resolve the format of an existing trace file: `declared` wins
  * unless it is Auto, in which case the file's first bytes are
- * sniffed ("LSKT"/"LSKC" magic; anything else is CSV — MSR traces
- * have no magic). NotFound/Unavailable when the file cannot be
- * read.
+ * sniffed (the "LSKC" magic; anything else is CSV — MSR traces
+ * have no magic, and the CSV parser rejects what is not CSV).
+ * NotFound/Unavailable when the file cannot be read.
  */
 StatusOr<TraceFormat> resolveTraceFormat(const std::string &path,
                                          TraceFormat declared);

@@ -45,7 +45,8 @@ namespace
 
 constexpr std::array<char, 4> kMagic{'L', 'S', 'K', 'C'};
 
-/** Same bound as LSKT's kMaxTraceNameBytes. */
+/** Upper bound on a plausible trace name: a larger nameLen is
+ *  corruption, not a reason to allocate gigabytes. */
 constexpr std::uint32_t kMaxNameBytes = 64 * 1024;
 
 constexpr std::size_t kSectionCount = 3;
@@ -490,10 +491,10 @@ LskcSource::tryOpen(const std::string &path)
     layout.types = reinterpret_cast<const IoType *>(
         data + sections[2].offset);
 
-    // Record-level validation, matching what the LSKT reader
-    // enforces record by record: no empty extents, no overflowing
-    // sector ranges, only valid type codes, and an address-space
-    // bound that really covers the extent column. The fast pass is
+    // Record-level validation before any record is served:
+    // no empty extents, no overflowing sector ranges, only valid
+    // type codes, and an address-space bound that really covers
+    // the extent column. The fast pass is
     // branchless (one accumulated flag) so it vectorizes; only a
     // failing file pays for the per-record re-scan that names the
     // first bad record.

@@ -2,12 +2,11 @@
  * @file
  * Columnar binary trace format ("LSKC") with zero-copy mmap replay.
  *
- * LSKT (trace/binary.h) is row-major: reading it decodes 25 bytes
- * per record into an in-RAM Trace. LSKC stores the same records as
- * three parallel columns laid out exactly the way the replay
- * engine's IoEventBatch consumes them, so an mmap'd file replays
- * with no per-record decode and no heap copy at all — the batch
- * columns are bound straight into the mapping. Layout:
+ * LSKC stores a trace's records as three parallel columns laid out
+ * exactly the way the replay engine's IoEventBatch consumes them,
+ * so an mmap'd file replays with no per-record decode and no heap
+ * copy at all — the batch columns are bound straight into the
+ * mapping. Layout:
  *
  *   preamble  magic "LSKC" | version u32 | headerLen u32
  *             | headerCrc u32 (CRC-32 of the header bytes)

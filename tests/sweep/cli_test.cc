@@ -23,8 +23,8 @@
 
 #include "analysis/validating_observer.h"
 #include "sweep/cli.h"
-#include "trace/binary.h"
 #include "trace/lskc.h"
+#include "trace/msr_csv.h"
 
 namespace logseek::sweep
 {
@@ -309,11 +309,14 @@ TEST(BenchCliTest, TraceFormatRejectsUnknownValues)
 {
     // The parser is strict: exact lower-case names only, and the
     // error names the offending value.
-    for (const char *bad : {"CSV", "binary", "lsk", ""}) {
+    for (const char *bad : {"CSV", "binary", "lsk", "lskt", ""}) {
         const auto cli = tryParse({"--trace-format", bad});
         ASSERT_FALSE(cli.ok()) << "'" << bad << "'";
         EXPECT_EQ(cli.status().code(), StatusCode::InvalidArgument)
             << "'" << bad << "'";
+        EXPECT_NE(cli.status().message().find("auto, csv or lskc"),
+                  std::string::npos)
+            << cli.status().message();
     }
     EXPECT_FALSE(tryParse({"--trace-format"}).ok());
 }
@@ -361,19 +364,19 @@ TEST(BenchCliTest, ConvertOutInstallsExportHook)
     std::remove(out.c_str());
 
     // --trace-format overrides the extension: the same path now
-    // receives LSKT bytes.
+    // receives CSV bytes.
     const auto forced =
         parse({"--convert-out", out.c_str(), "--trace-format",
-               "lskt"});
+               "csv"});
     ASSERT_TRUE(forced.has_value());
     SweepOptions forced_options = forced->sweepOptions();
     ASSERT_TRUE(static_cast<bool>(forced_options.onTrace));
     forced_options.onTrace(0, sample);
     EXPECT_FALSE(trace::tryReadLskcFile(out).ok());
-    StatusOr<trace::Trace> lskt =
-        trace::tryReadBinaryTraceFile(out);
-    ASSERT_TRUE(lskt.ok()) << lskt.status().message();
-    EXPECT_EQ(lskt.value().size(), sample.size());
+    StatusOr<trace::MsrParseResult> csv =
+        trace::tryParseMsrCsvFile(out, "hook");
+    ASSERT_TRUE(csv.ok()) << csv.status().message();
+    EXPECT_EQ(csv.value().trace.size(), sample.size());
     std::remove(out.c_str());
 
     // Without --convert-out no hook is installed.

@@ -16,7 +16,6 @@
 #include <unistd.h>
 
 #include "stl/simulator.h"
-#include "trace/binary.h"
 #include "trace/convert.h"
 #include "trace/format.h"
 #include "trace/lskc.h"
@@ -385,41 +384,50 @@ TEST(LskcTrace, FormatSniffRecognizesAllThreeFormats)
 {
     const std::string lskc = tempPath("sniff");
     ASSERT_TRUE(tryWriteLskcFile(lskc, sampleTrace()).ok());
-    const std::string lskt = "/tmp/logseek_lskc_sniff_" +
-                             std::to_string(::getpid()) + ".lskt";
-    writeBinaryTraceFile(lskt, sampleTrace());
     const std::string csv = "/tmp/logseek_lskc_sniff_" +
                             std::to_string(::getpid()) + ".csv";
     writeFileBytes(csv, "0,host,0,Read,4096,8192,100\n");
+    // The retired row-major binary format has no reader left: its
+    // magic sniffs as CSV, and the CSV parser rejects the bytes.
+    const std::string retired = "/tmp/logseek_lskc_sniff_" +
+                                std::to_string(::getpid()) + ".lskt";
+    writeFileBytes(retired, std::string("LSKT\x01\0\0\0", 8));
 
     const auto a = resolveTraceFormat(lskc, TraceFormat::Auto);
-    const auto b = resolveTraceFormat(lskt, TraceFormat::Auto);
+    const auto b = resolveTraceFormat(retired, TraceFormat::Auto);
     const auto c = resolveTraceFormat(csv, TraceFormat::Auto);
     ASSERT_TRUE(a.ok() && b.ok() && c.ok());
     EXPECT_EQ(a.value(), TraceFormat::Lskc);
-    EXPECT_EQ(b.value(), TraceFormat::Lskt);
+    EXPECT_EQ(b.value(), TraceFormat::Csv);
     EXPECT_EQ(c.value(), TraceFormat::Csv);
+    EXPECT_EQ(formatFromPath(retired), TraceFormat::Auto);
     // A declared format always wins over the sniff.
     const auto declared = resolveTraceFormat(csv, TraceFormat::Lskc);
     ASSERT_TRUE(declared.ok());
     EXPECT_EQ(declared.value(), TraceFormat::Lskc);
 
     std::remove(lskc.c_str());
-    std::remove(lskt.c_str());
+    std::remove(retired.c_str());
     std::remove(csv.c_str());
 }
 
 TEST(LskcTrace, ConversionRoundTripPreservesRecords)
 {
-    const Trace original = randomTrace(19, 400);
-    const std::string lskt = "/tmp/logseek_lskc_conv_" +
-                             std::to_string(::getpid()) + ".lskt";
+    // CSV timestamps are relative to the first record's, so the
+    // fixture's clock starts at 0 and never runs backwards.
+    const Trace shuffled = randomTrace(19, 400);
+    Trace original("conv");
+    for (std::size_t i = 0; i < shuffled.size(); ++i)
+        original.append(
+            IoRecord{i * 7, shuffled[i].type, shuffled[i].extent});
+    const std::string csv = "/tmp/logseek_lskc_conv_" +
+                            std::to_string(::getpid()) + ".csv";
     const std::string lskc = tempPath("conv");
-    writeBinaryTraceFile(lskt, original);
+    ASSERT_TRUE(tryWriteTraceFile(csv, original).ok());
 
-    const auto summary = tryConvertTraceFile(lskt, lskc);
+    const auto summary = tryConvertTraceFile(csv, lskc);
     ASSERT_TRUE(summary.ok()) << summary.status().message();
-    EXPECT_EQ(summary.value().inFormat, TraceFormat::Lskt);
+    EXPECT_EQ(summary.value().inFormat, TraceFormat::Csv);
     EXPECT_EQ(summary.value().outFormat, TraceFormat::Lskc);
     EXPECT_EQ(summary.value().records, original.size());
 
@@ -437,7 +445,7 @@ TEST(LskcTrace, ConversionRoundTripPreservesRecords)
     ASSERT_TRUE(re.ok());
     EXPECT_EQ(readFileBytes(lskc), readFileBytes(again));
 
-    std::remove(lskt.c_str());
+    std::remove(csv.c_str());
     std::remove(lskc.c_str());
     std::remove(again.c_str());
 }
@@ -446,13 +454,16 @@ TEST(LskcTrace, ParseTraceFormatIsStrict)
 {
     EXPECT_TRUE(parseTraceFormat("auto").ok());
     EXPECT_TRUE(parseTraceFormat("csv").ok());
-    EXPECT_TRUE(parseTraceFormat("lskt").ok());
     EXPECT_TRUE(parseTraceFormat("lskc").ok());
-    for (const char *bad : {"", "CSV", "Lskc", "binary", "lsk"}) {
+    for (const char *bad :
+         {"", "CSV", "Lskc", "binary", "lsk", "lskt"}) {
         const auto parsed = parseTraceFormat(bad);
         ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
         EXPECT_EQ(parsed.status().code(),
                   StatusCode::InvalidArgument);
+        EXPECT_NE(parsed.status().message().find("auto, csv or lskc"),
+                  std::string::npos)
+            << parsed.status().message();
     }
 }
 

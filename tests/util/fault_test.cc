@@ -8,7 +8,6 @@
 #include <string>
 
 #include "util/fault.h"
-#include "util/logging.h"
 
 namespace logseek
 {
@@ -29,8 +28,6 @@ TEST(Fault, KindNamesAreStable)
     EXPECT_STREQ(toString(FaultKind::Truncate), "truncate");
     EXPECT_STREQ(toString(FaultKind::BitFlip), "bit-flip");
     EXPECT_STREQ(toString(FaultKind::ShortRead), "short-read");
-    EXPECT_STREQ(toString(FaultKind::EofMidRecord),
-                 "eof-mid-record");
 }
 
 TEST(Fault, TruncateAtClampsToInput)
@@ -76,40 +73,6 @@ TEST(Fault, BitFlipChangesExactlyOneBit)
     EXPECT_EQ(injectBitFlip("", 1), "");
 }
 
-TEST(Fault, EofMidRecordEndsInsideARecord)
-{
-    const std::size_t header = 16;
-    const std::size_t record = 25;
-    std::string bytes(header + 10 * record, 'x');
-    for (std::uint64_t seed = 0; seed < 64; ++seed) {
-        const std::string cut =
-            injectEofMidRecord(bytes, header, record, seed);
-        ASSERT_GT(cut.size(), header) << "seed " << seed;
-        ASSERT_LT(cut.size(), bytes.size()) << "seed " << seed;
-        // The tail after the header must be a strict partial record.
-        const std::size_t tail = (cut.size() - header) % record;
-        EXPECT_NE(tail, 0u) << "seed " << seed;
-        EXPECT_EQ(cut, injectEofMidRecord(bytes, header, record,
-                                          seed))
-            << "seed " << seed;
-    }
-}
-
-TEST(Fault, EofMidRecordHandlesHeaderOnlyInput)
-{
-    const std::string short_bytes(8, 'h');
-    EXPECT_EQ(injectEofMidRecord(short_bytes, 16, 25, 1),
-              short_bytes);
-    // A header plus less than one record truncates to the header.
-    const std::string partial(16 + 10, 'h');
-    EXPECT_EQ(injectEofMidRecord(partial, 16, 25, 1).size(), 16u);
-}
-
-TEST(Fault, EofMidRecordRejectsDegenerateRecordWidth)
-{
-    EXPECT_THROW(injectEofMidRecord("abcdef", 0, 1, 1), PanicError);
-}
-
 TEST(Fault, ShortReadStreamDeliversAllBytes)
 {
     const std::string bytes = samplePayload();
@@ -144,48 +107,6 @@ TEST(Fault, ShortReadStreamHandlesEmptyInput)
     ShortReadStream in(std::string(), 1);
     char c;
     EXPECT_FALSE(in.get(c));
-}
-
-TEST(Fault, ShortWriteStreamAcceptsWithinBudget)
-{
-    ShortWriteStream out(64);
-    out << "hello, media";
-    out.flush();
-    EXPECT_TRUE(out.good());
-    EXPECT_EQ(out.written(), "hello, media");
-}
-
-TEST(Fault, ShortWriteStreamFailsPastBudget)
-{
-    ShortWriteStream out(5);
-    out << "hello, media";
-    EXPECT_FALSE(out.good());
-    // Exactly the budgeted prefix reached "media".
-    EXPECT_EQ(out.written(), "hello");
-}
-
-TEST(Fault, ShortWriteStreamByteAtATime)
-{
-    ShortWriteStream out(3);
-    std::size_t accepted = 0;
-    for (const char c : std::string("abcdef")) {
-        out.put(c);
-        if (out.good())
-            ++accepted;
-        else
-            break;
-    }
-    EXPECT_EQ(accepted, 3u);
-    EXPECT_EQ(out.written(), "abc");
-}
-
-TEST(Fault, ShortWriteStreamFailingSync)
-{
-    ShortWriteStream out(1024, /*fail_sync=*/true);
-    out << "data";
-    EXPECT_TRUE(out.good());
-    out.flush();
-    EXPECT_FALSE(out.good());
 }
 
 } // namespace
