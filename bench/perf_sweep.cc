@@ -186,7 +186,7 @@ main(int argc, char **argv)
          << "  \"parallel\": {\"jobs\": " << parallel.telemetry.jobs
          << ", \"wallSec\": " << parallel.telemetry.wallSec
          << ", \"opsPerSec\": " << parallel.telemetry.opsPerSec()
-         << ", \"steals\": " << parallel.telemetry.steals << "},\n"
+         << "},\n"
          << "  \"speedup\": " << speedup << ",\n"
          << "  \"telemetry\": {\"jobs\": 1, \"wallSec\": "
          << instrumented.telemetry.wallSec << ", \"opsPerSec\": "

@@ -145,7 +145,7 @@ writeJson(std::ostream &out, const SweepResult &sweep,
             << ", \"failedRuns\": " << t.failedRuns
             << ", \"ops\": " << t.ops
             << ", \"opsPerSec\": " << formatExact(t.opsPerSec())
-            << ", \"steals\": " << t.steals << "}";
+            << "}";
     }
     out << "\n  },\n  \"rows\": [\n";
     for (std::size_t i = 0; i < sweep.rows.size(); ++i) {

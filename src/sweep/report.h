@@ -8,7 +8,7 @@
  * (workload, config) cell carrying every SimResult field plus
  * per-run wall-clock. Simulation fields are deterministic —
  * byte-identical across job counts — while telemetry fields
- * (wallSec, opsPerSec, steals) vary run to run.
+ * (wallSec, replaySec, opsPerSec) vary run to run.
  */
 
 #ifndef LOGSEEK_SWEEP_REPORT_H

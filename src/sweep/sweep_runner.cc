@@ -216,11 +216,12 @@ SweepRunner::run()
                     return;
                 }
                 // Fan the loaded source out into one task per
-                // config; idle workers steal them. Each task holds
-                // one shared_ptr reference, so the source — the
-                // trace memory or the file mapping — is released
-                // the moment the workload's last cell completes,
-                // not at sweep end.
+                // config. Submitted from a worker, they go to the
+                // front of the pool's queue, ahead of every load
+                // still waiting. Each task holds one shared_ptr
+                // reference, so the source — the trace memory or
+                // the file mapping — is released the moment the
+                // workload's last cell completes, not at sweep end.
                 for (std::size_t c = 0; c < config_count; ++c)
                     pool.submit(
                         [run_cell,
@@ -230,7 +231,6 @@ SweepRunner::run()
         }
 
         pool.wait();
-        out.telemetry.steals = pool.stealCount();
     }
 
     out.telemetry.wallSec = secondsSince(start);

@@ -5,15 +5,17 @@
  * Every figure and ablation in the paper is a sweep: a set of
  * workloads replayed under a matrix of simulator configurations.
  * SweepRunner loads each workload exactly once — as an immutable
- * TraceSource shared read-only across a work-stealing thread pool,
- * each cell pulling records through its own cursor — replays every
+ * TraceSource shared read-only by the pool's workers, each cell
+ * pulling records through its own cursor — replays every
  * (workload, config) cell with a fresh per-run engine and fresh
  * per-run observers (from a factory — observers are stateful and
  * not thread-safe, so they are never shared between runs), and
  * returns rows in deterministic (workload, config) order: the
  * results are byte-identical whatever the job count. A workload's
- * source is released when its last cell completes, so peak memory
- * tracks in-flight workloads, not the whole sweep.
+ * source is released when its last cell completes, and a load
+ * starts only when no cell is queued, so at most `jobs` workloads
+ * are loaded and unfinished at once: peak memory tracks the
+ * workloads in flight, not the whole sweep.
  */
 
 #ifndef LOGSEEK_SWEEP_SWEEP_RUNNER_H
@@ -202,9 +204,6 @@ struct SweepTelemetry
     std::uint64_t ops = 0;
     int jobs = 1;
 
-    /** Tasks the pool's idle workers stole. */
-    std::uint64_t steals = 0;
-
     /** Aggregate replay throughput over the sweep's wall-clock. */
     double
     opsPerSec() const
@@ -266,10 +265,10 @@ struct SweepOptions
 };
 
 /**
- * Runs a (workload × config) sweep on a work-stealing pool. Each
- * trace is loaded once and shared read-only; each cell gets a
- * fresh Simulator and fresh observers. Row order — and every
- * simulation field in it — is independent of the job count.
+ * Runs a (workload × config) sweep on a TaskPool. Each trace is
+ * loaded once and shared read-only; each cell gets a fresh
+ * Simulator and fresh observers. Row order — and every simulation
+ * field in it — is independent of the job count.
  */
 class SweepRunner
 {

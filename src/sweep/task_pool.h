@@ -1,13 +1,13 @@
 /**
  * @file
- * Work-stealing thread pool for sweep execution.
+ * Thread pool for sweep execution: one task queue under one mutex.
  *
- * Each worker owns a deque: it pushes and pops its own work LIFO
- * (cache-warm) and steals FIFO from the other workers when its own
- * deque drains (oldest, largest-granularity tasks first). Tasks may
- * submit further tasks — the sweep runner uses that to fan a
- * trace-load task out into per-config replay tasks on whichever
- * worker finished the load.
+ * A task submitted from outside the pool goes to the back of the
+ * queue; a task submitted by one of the pool's own workers goes to
+ * the front. Workers pop from the front. The sweep runner relies on
+ * that order: a load task fans its workload out into per-config
+ * cells from a worker, so those cells run before any later load
+ * starts, the last-submitted cell first.
  */
 
 #ifndef LOGSEEK_SWEEP_TASK_POOL_H
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -30,11 +29,11 @@ namespace logseek::sweep
 {
 
 /**
- * A fixed-size pool of workers with per-worker deques and work
- * stealing. Tasks should handle their own errors (the sweep runner
- * stores a Status per run); a task that does throw is contained —
- * the exception is swallowed, counted in taskExceptionCount(), and
- * the pool keeps running and destructs cleanly.
+ * A fixed-size pool of workers sharing one queue. Tasks should
+ * handle their own errors (the sweep runner stores a Status per
+ * run); a task that does throw is contained — the exception is
+ * swallowed, counted in taskExceptionCount(), and the pool keeps
+ * running and destructs cleanly.
  */
 class TaskPool
 {
@@ -49,21 +48,16 @@ class TaskPool
     TaskPool &operator=(const TaskPool &) = delete;
 
     /**
-     * Submit one task. Called from outside the pool, tasks are
-     * dealt round-robin across workers; called from a worker, the
-     * task lands on that worker's own deque (and is stolen from
-     * there if the worker stays busy).
+     * Submit one task: to the back of the queue when called from
+     * outside the pool, to the front when called from one of its
+     * workers.
      */
     void submit(std::function<void()> task);
 
     /** Block until every submitted task (and its spawns) ran. */
     void wait();
 
-    std::size_t workerCount() const { return workers_.size(); }
-
-    /** Tasks that ran on a worker other than the one they were
-     *  queued on — observability for the stealing behavior. */
-    std::uint64_t stealCount() const { return steals_.load(); }
+    std::size_t workerCount() const { return threads_.size(); }
 
     /** Exceptions that escaped tasks and were contained. */
     std::uint64_t taskExceptionCount() const
@@ -72,43 +66,31 @@ class TaskPool
     }
 
   private:
-    struct Worker
-    {
-        std::deque<std::function<void()>> queue;
-        std::mutex mutex;
-    };
+    void workerLoop();
 
-    void workerLoop(std::size_t self);
+    /** Run one task, containing anything it throws. Takes the task
+     *  by value so its captures are released before the worker
+     *  reports it done. */
+    void runTask(std::function<void()> task);
 
-    /** Pop own-back or steal another deque's front; run it. */
-    bool runOneTask(std::size_t self);
-
-    bool anyQueued();
-
-    std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> threads_;
 
-    std::mutex workMutex_;
+    std::mutex mutex_;
     std::condition_variable workCv_;
     std::condition_variable doneCv_;
-    std::size_t pending_ = 0; // guarded by workMutex_
-    bool stop_ = false;       // guarded by workMutex_
+    std::deque<std::function<void()>> queue_; // guarded by mutex_
+    std::size_t pending_ = 0; // queued + running; guarded by mutex_
+    bool stop_ = false;       // guarded by mutex_
 
-    std::atomic<std::size_t> nextWorker_{0};
-    std::atomic<std::uint64_t> steals_{0};
     std::atomic<std::uint64_t> taskExceptions_{0};
 
     // Telemetry handles, resolved once at construction. The queue
-    // depth gauge tracks pending_ and is updated under workMutex_;
-    // the counters are self-gated and wait-free.
+    // depth gauge tracks pending_ and is updated under mutex_; the
+    // counters are self-gated and wait-free.
     telemetry::Gauge *queueDepth_;
     telemetry::Counter *tasksTotal_;
-    telemetry::Counter *stealsTotal_;
     telemetry::Counter *exceptionsTotal_;
 };
-
-/** The thread-local index of the current pool worker, if any. */
-int currentPoolWorker();
 
 } // namespace logseek::sweep
 

@@ -381,6 +381,74 @@ TEST(SweepRunnerTest, StandardExceptionsFailTheirCells)
     EXPECT_EQ(sweep.telemetry.failedRuns, 3u);
 }
 
+/**
+ * Peak count of loaded-but-unfinished workloads in a 21-workload,
+ * two-config sweep at `jobs`, counted from the start of each load
+ * to its workload's last completed cell. The traces are tiny, so
+ * loads and cells interleave with the submission of later loads.
+ */
+std::size_t
+peakLoadedWorkloads(int jobs)
+{
+    const std::vector<ConfigSpec> configs = {
+        ConfigSpec::fixed(
+            "NoLS", configFor(stl::TranslationKind::Conventional)),
+        ConfigSpec::fixed(
+            "LS", configFor(stl::TranslationKind::LogStructured))};
+    constexpr std::size_t kWorkloads = 21;
+    std::mutex mutex;
+    std::size_t in_flight = 0;
+    std::size_t peak = 0;
+    std::vector<std::size_t> cells_left(kWorkloads, configs.size());
+    std::vector<WorkloadSpec> specs;
+    for (std::size_t w = 0; w < kWorkloads; ++w) {
+        specs.push_back(
+            {"tiny" + std::to_string(w),
+             [&] {
+                 {
+                     std::lock_guard<std::mutex> lock(mutex);
+                     peak = std::max(peak, ++in_flight);
+                 }
+                 trace::Trace trace("tiny");
+                 for (std::uint64_t i = 0; i < 64; ++i) {
+                     trace.appendWrite(i * 16, 8, 2 * i);
+                     trace.appendRead(i * 8, 16, 2 * i + 1);
+                 }
+                 return trace;
+             },
+             nullptr});
+    }
+    SweepOptions options;
+    options.jobs = jobs;
+    options.onCellComplete = [&](const RunRow &row) {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (--cells_left[row.key.workloadIndex] == 0)
+            --in_flight;
+    };
+    const SweepResult sweep =
+        SweepRunner(std::move(specs), configs, options).run();
+    EXPECT_EQ(sweep.telemetry.failedRuns, 0u) << "jobs " << jobs;
+    EXPECT_EQ(in_flight, 0u) << "jobs " << jobs;
+    return peak;
+}
+
+TEST(SweepRunnerTest, LoadedWorkloadsNeverExceedJobs)
+{
+    // A load starts only when no cell is queued, so at most `jobs`
+    // workloads are loaded and unfinished at any moment: the bound
+    // behind the runner's peak-memory promise. Repeated, because a
+    // scheduler that breaks the bound does so only on some
+    // interleavings.
+    for (const int jobs : {1, 2, 4}) {
+        for (int round = 0; round < 20; ++round) {
+            const std::size_t peak = peakLoadedWorkloads(jobs);
+            ASSERT_GE(peak, 1u) << "jobs " << jobs;
+            ASSERT_LE(peak, static_cast<std::size_t>(jobs))
+                << "jobs " << jobs << " round " << round;
+        }
+    }
+}
+
 TEST(SweepRunnerTest, OnTraceHookSeesEveryWorkloadOnce)
 {
     std::mutex mutex;

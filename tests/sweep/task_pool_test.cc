@@ -1,16 +1,17 @@
 /**
  * @file
- * Unit tests for the work-stealing TaskPool: completion guarantees,
- * nested submission (fan-out from a worker), pool reuse across
- * wait() calls, and worker identity.
+ * Unit tests for the TaskPool: completion guarantees, nested
+ * submission (fan-out from a worker) and its queue order, pool
+ * reuse across wait() calls, and exception containment.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
+#include <mutex>
 #include <stdexcept>
-#include <thread>
+#include <string>
+#include <vector>
 
 #include "sweep/task_pool.h"
 
@@ -78,27 +79,27 @@ TEST(TaskPoolTest, DestructorDrainsPendingTasks)
     EXPECT_EQ(ran.load(), 50);
 }
 
-TEST(TaskPoolTest, WorkerIdentityIsVisibleInsideTasks)
+TEST(TaskPoolTest, WorkerSubmissionsRunFirstNewestFirst)
 {
-    EXPECT_EQ(currentPoolWorker(), -1);
-
-    std::atomic<int> bad{0};
+    // One worker makes the order observable: tasks a worker submits
+    // go to the front of the queue, ahead of the external task
+    // already waiting, so they run newest first and before it.
     std::mutex mutex;
-    std::set<int> seen;
-    TaskPool pool(3);
-    for (int i = 0; i < 64; ++i) {
-        pool.submit([&] {
-            const int worker = currentPoolWorker();
-            if (worker < 0 || worker >= 3)
-                bad.fetch_add(1);
-            std::lock_guard<std::mutex> lock(mutex);
-            seen.insert(worker);
-        });
-    }
+    std::vector<std::string> order;
+    auto record = [&](std::string name) {
+        std::lock_guard<std::mutex> lock(mutex);
+        order.push_back(std::move(name));
+    };
+    TaskPool pool(1);
+    pool.submit([&] {
+        record("a");
+        for (const char *child : {"b1", "b2", "b3"})
+            pool.submit([&record, child] { record(child); });
+    });
+    pool.submit([&] { record("c"); });
     pool.wait();
-    EXPECT_EQ(bad.load(), 0);
-    EXPECT_FALSE(seen.empty());
-    EXPECT_EQ(currentPoolWorker(), -1);
+    EXPECT_EQ(order, (std::vector<std::string>{"a", "b3", "b2", "b1",
+                                               "c"}));
 }
 
 TEST(TaskPoolTest, ManyWorkersManyTasksStress)
