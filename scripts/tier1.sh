@@ -8,8 +8,8 @@
 #   tsan     ThreadSanitizer, the concurrency suites
 #            (TaskPool*/SweepRunner*/Telemetry*/IngestReplay* and
 #            the rest of the preset's filter — the sweep runner,
-#            its work-stealing pool, the zoned-device and crash-
-#            recovery grids and the sharded telemetry metrics)
+#            its single-queue task pool, the zoned-device and
+#            crash-recovery grids and the sharded telemetry metrics)
 #
 # The extra mode `bench-smoke` builds the default preset's
 # perf_extent_map / perf_simulator benchmarks and runs them at
@@ -20,10 +20,10 @@
 # regenerated manually at full iterations). The smoke artifact
 # records the box's nproc so a ~1x parallel speedup on a 1-CPU
 # runner is not misread as a regression, and a jobs-smoke leg
-# replays the Figure 11 sweep once at --jobs 1 and once at
-# --jobs 2, diffing the two reports with their timing fields
-# stripped — byte-identical cell-parallel sweeps checked end-to-end
-# through the real CLI.
+# replays the Figure 11 sweep at --jobs 1, 2 and 4, diffing the
+# --jobs 2 and --jobs 4 reports against --jobs 1 with their timing
+# fields stripped — byte-identical cell-parallel sweeps checked
+# end-to-end through the real CLI.
 #
 # The extra mode `fault-smoke` builds device_fault_sweep under the
 # asan preset and runs the fault matrix at small scale with an
@@ -117,9 +117,9 @@ EOF
     echo "{\"nproc\": $(nproc 2>/dev/null || echo 1)}" \
         > BENCH_nproc.smoke.json
 
-    # Jobs-smoke: the sweep CLI end-to-end, --jobs 1 vs --jobs 2.
-    # Timing fields are the only permitted difference; everything
-    # else must be byte-identical.
+    # Jobs-smoke: the sweep CLI end-to-end, --jobs 1 vs --jobs 2
+    # and --jobs 4. Timing fields are the only permitted
+    # difference; everything else must be byte-identical.
     cmake --build --preset default -j "${JOBS}" --target fig11_saf
     strip_timing() {
         sed -e '/"telemetry":/d' \
@@ -127,11 +127,13 @@ EOF
     }
     build/bench/fig11_saf 0.002 --jobs 1 \
         --json=/tmp/tier1_jobs1.json > /dev/null
-    build/bench/fig11_saf 0.002 --jobs 2 \
-        --json=/tmp/tier1_jobs2.json > /dev/null
-    diff <(strip_timing /tmp/tier1_jobs1.json) \
-         <(strip_timing /tmp/tier1_jobs2.json)
-    echo "==> tier1: jobs-smoke byte-identical"
+    for jobs in 2 4; do
+        build/bench/fig11_saf 0.002 --jobs "${jobs}" \
+            --json="/tmp/tier1_jobs${jobs}.json" > /dev/null
+        diff <(strip_timing /tmp/tier1_jobs1.json) \
+             <(strip_timing "/tmp/tier1_jobs${jobs}.json")
+    done
+    echo "==> tier1: jobs-smoke byte-identical at --jobs 1, 2 and 4"
 }
 
 run_fault_smoke() {
