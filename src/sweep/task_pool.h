@@ -73,8 +73,6 @@ class TaskPool
      *  reports it done. */
     void runTask(std::function<void()> task);
 
-    std::vector<std::thread> threads_;
-
     std::mutex mutex_;
     std::condition_variable workCv_;
     std::condition_variable doneCv_;
@@ -90,6 +88,10 @@ class TaskPool
     telemetry::Gauge *queueDepth_;
     telemetry::Counter *tasksTotal_;
     telemetry::Counter *exceptionsTotal_;
+
+    // Last, so the workers start after, and are joined before, the
+    // members they use.
+    std::vector<std::thread> threads_;
 };
 
 } // namespace logseek::sweep
