@@ -48,11 +48,17 @@ void warn(const std::string &msg);
 [[noreturn]] void panic(const std::string &msg);
 
 /**
- * Panic unless a condition holds. Used for internal invariants that
+ * Panic if a condition holds. Used for internal invariants that
  * must survive release builds (unlike assert()).
+ *
+ * The message is a string literal, so a check that passes costs a
+ * branch and nothing else; a std::string parameter would build the
+ * message, and heap-allocate it past 15 characters, on every call.
+ * A check whose message has to be built is written
+ * `if (cond) panic(...)`, so only a failing check builds it.
  */
 inline void
-panicIf(bool condition, const std::string &msg)
+panicIf(bool condition, const char *msg)
 {
     if (condition)
         panic(msg);

@@ -251,8 +251,9 @@ class StatusOr
     void
     requireOk() const
     {
-        panicIf(!ok(), "StatusOr: value() on error status: " +
-                           status_.toString());
+        if (!ok())
+            panic("StatusOr: value() on error status: " +
+                  status_.toString());
     }
 
     Status status_;

@@ -413,9 +413,9 @@ class ProfileEngine
         const std::uint64_t rassigned = scanReadOps_ + hotReadOps_ +
                                         runReadOps_ +
                                         temporalReadOps_;
-        panicIf(rassigned > totalReads_,
-                std::string("profile ") + spec_.name +
-                    ": read fractions exceed 1");
+        if (rassigned > totalReads_)
+            panic(std::string("profile ") + spec_.name +
+                  ": read fractions exceed 1");
         randomReadOps_ = totalReads_ - rassigned;
 
         scanRegionSectors_ = mibToSectors(spec_.scanRegionMiB);
@@ -480,9 +480,9 @@ class ProfileEngine
         seqOps_ = share(spec_.wSeq);
         const std::uint64_t assigned =
             updateOps_ + misorderOps_ + shuffleOps_ + seqOps_;
-        panicIf(assigned > budget,
-                std::string("profile ") + spec_.name +
-                    ": write fractions exceed 1");
+        if (assigned > budget)
+            panic(std::string("profile ") + spec_.name +
+                  ": write fractions exceed 1");
         randomWriteOps_ = budget - assigned;
 
         // If the hot pool was disabled or shrunk away, fold its

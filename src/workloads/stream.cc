@@ -12,8 +12,8 @@ namespace logseek::workloads
 WorkloadStream::WorkloadStream(StreamSpec spec)
     : spec_(std::move(spec))
 {
-    panicIf(!spec_.makeChunk,
-            "WorkloadStream '" + spec_.name + "': null makeChunk");
+    if (!spec_.makeChunk)
+        panic("WorkloadStream '" + spec_.name + "': null makeChunk");
 }
 
 std::size_t
@@ -56,8 +56,8 @@ WorkloadStream::reset()
 StreamSource::StreamSource(StreamSpec spec)
     : spec_(std::move(spec))
 {
-    panicIf(!spec_.makeChunk,
-            "StreamSource '" + spec_.name + "': null makeChunk");
+    if (!spec_.makeChunk)
+        panic("StreamSource '" + spec_.name + "': null makeChunk");
 }
 
 StreamSpec
@@ -82,9 +82,9 @@ StreamSpec
 mixedStream(const std::string &name, std::uint64_t chunks,
             std::uint64_t records_per_chunk, std::uint64_t seed)
 {
-    panicIf(records_per_chunk < 2,
-            "mixedStream '" + name +
-                "': records_per_chunk must be >= 2");
+    if (records_per_chunk < 2)
+        panic("mixedStream '" + name +
+              "': records_per_chunk must be >= 2");
     constexpr SectorCount kWriteIo = 256; // 128 KiB stripes
     constexpr SectorCount kReadIo = 64;   // 32 KiB reads
     const std::uint64_t writes_per_chunk = records_per_chunk / 2;
