@@ -16,9 +16,22 @@ StreamRouter::StreamRouter(std::uint32_t streams,
             "sector");
 }
 
+StreamRouter::Bucket &
+StreamRouter::bucketAt(std::uint64_t b)
+{
+    const std::uint64_t page = b / kPageBuckets;
+    if (page >= pages_.size())
+        pages_.resize(page + 1);
+    std::unique_ptr<Bucket[]> &slots = pages_[page];
+    if (!slots)
+        slots = std::make_unique<Bucket[]>(kPageBuckets);
+    return slots[b % kPageBuckets];
+}
+
 std::uint32_t
 StreamRouter::route(Lba lba, SectorCount count)
 {
+    panicIf(count == 0, "StreamRouter: empty write");
     const std::uint64_t tick = ++clock_;
     if (streams_ == 1)
         return 0;
@@ -31,9 +44,8 @@ StreamRouter::route(Lba lba, SectorCount count)
     bool first_seen = false;
     std::uint64_t first_interval = 0;
     for (std::uint64_t b = first; b <= last; ++b) {
-        auto [it, inserted] = buckets_.try_emplace(b);
-        Bucket &bucket = it->second;
-        if (inserted) {
+        Bucket &bucket = bucketAt(b);
+        if (bucket.lastWrite == 0) {
             bucket.lastWrite = tick;
             continue;
         }
