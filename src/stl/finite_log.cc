@@ -53,6 +53,9 @@ FiniteLogStructuredLayer::FiniteLogStructuredLayer(
             "must not exceed the segment count");
     segments_.resize(count);
     freeCount_ = static_cast<std::uint32_t>(count);
+    freeBits_.assign((count + 63) / 64, ~0ULL);
+    if (count % 64 != 0)
+        freeBits_.back() = (1ULL << (count % 64)) - 1;
     summaries_.resize(count);
     liveBits_.resize((count * segmentSectors_ + 63) / 64);
     streams_.resize(config.gc.streams);
@@ -152,10 +155,14 @@ FiniteLogStructuredLayer::setFree(std::uint32_t seg, bool free)
     if (state.free == free)
         return;
     state.free = free;
-    if (free)
+    const std::uint64_t bit = 1ULL << (seg % 64);
+    if (free) {
         ++freeCount_;
-    else
+        freeBits_[seg / 64] |= bit;
+    } else {
         --freeCount_;
+        freeBits_[seg / 64] &= ~bit;
+    }
 }
 
 void
@@ -173,8 +180,12 @@ FiniteLogStructuredLayer::setOpenSegment(std::uint32_t sid,
 void
 FiniteLogStructuredLayer::openFreeSegment(std::uint32_t sid)
 {
-    for (std::uint32_t i = 0; i < segments_.size(); ++i) {
-        if (segments_[i].free) {
+    for (std::size_t word = 0; word < freeBits_.size(); ++word) {
+        if (freeBits_[word] != 0) {
+            const auto i = static_cast<std::uint32_t>(
+                word * 64 +
+                static_cast<std::size_t>(
+                    std::countr_zero(freeBits_[word])));
             setFree(i, false);
             setOpenSegment(
                 sid, i,

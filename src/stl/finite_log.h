@@ -290,14 +290,16 @@ class FiniteLogStructuredLayer : public TranslationLayer
         }
     }
 
-    /** Flip segment seg's free flag, keeping freeCount_ in step. */
+    /** Flip segment seg's free flag, keeping freeCount_ and
+     *  freeBits_ in step. */
     void setFree(std::uint32_t seg, bool free);
 
     /** Make seg stream sid's open segment, moving the open flag. */
     void setOpenSegment(std::uint32_t sid, std::uint32_t seg,
                         Pba write_ptr);
 
-    /** Open a free segment for stream sid; fatal if none. */
+    /** Open the lowest free segment for stream sid; fatal if
+     *  none. */
     void openFreeSegment(std::uint32_t sid);
 
     /**
@@ -316,6 +318,11 @@ class FiniteLogStructuredLayer : public TranslationLayer
 
     /** Segments with the free flag set. */
     std::uint32_t freeCount_ = 0;
+
+    /** The free flags again, one bit per segment (bit i of word
+     *  i / 64 is segment i), so the lowest free segment is found a
+     *  word at a time. */
+    std::vector<std::uint64_t> freeBits_;
 
     /** Forward map: lba -> log pba. */
     ExtentMap map_;
