@@ -1,5 +1,7 @@
 #include "cleaning_policy.h"
 
+#include <limits>
+
 #include "util/logging.h"
 
 namespace logseek::stl::gc
@@ -58,6 +60,62 @@ class GreedyPolicy final : public CleaningPolicy
 };
 
 /**
+ * The cost-benefit scan in integers of type Word: benefit/cost =
+ * age * (S - live) / (S + live), compared cross-multiplied so no
+ * division rounding enters the victim choice. Word must hold every
+ * product the scan forms; see productsFit64.
+ */
+template <typename Word>
+std::optional<std::uint32_t>
+costBenefitScan(const SegmentStateView &view)
+{
+    const SectorCount sectors = view.segmentSectors;
+    std::uint32_t victim = 0;
+    // Score numerator/denominator of the current best.
+    Word best_num = 0;
+    Word best_den = 1;
+    bool found = false;
+    for (std::uint32_t i = 0; i < view.segments.size(); ++i) {
+        const SegmentInfo &segment = view.segments[i];
+        if (segment.free || segment.open)
+            continue;
+        const SectorCount live = segment.live;
+        if (live >= sectors)
+            continue; // fully live: reclaiming frees nothing
+        const std::uint64_t age = view.now - segment.lastWrite + 1;
+        const Word num = static_cast<Word>(age) * (sectors - live);
+        const Word den = sectors + live;
+        // num/den > best_num/best_den, lowest index on ties.
+        if (!found || num * best_den > best_num * den) {
+            best_num = num;
+            best_den = den;
+            victim = i;
+            found = true;
+        }
+    }
+    if (!found)
+        return std::nullopt;
+    return victim;
+}
+
+/**
+ * True when every product costBenefitScan forms fits in 64 bits.
+ * A numerator is at most (now + 1) * S and a denominator below 2S,
+ * since ages are at most now + 1 and a candidate has live < S; so
+ * a product stays below (now + 1) * 2S^2.
+ */
+bool
+productsFit64(const SegmentStateView &view)
+{
+    const std::uint64_t sectors = view.segmentSectors;
+    if (sectors == 0 || sectors >= (1ULL << 31))
+        return false;
+    const std::uint64_t scale = 2 * sectors * sectors; // < 2^63
+    return view.now <
+           std::numeric_limits<std::uint64_t>::max() / scale;
+}
+
+/**
  * Sprite-LFS cost-benefit cleaning: score each closed segment by
  * age x (1 - u) / (1 + u), where u is the live fraction and age the
  * logical ticks since the segment's last write. Unlike greedy this
@@ -66,9 +124,10 @@ class GreedyPolicy final : public CleaningPolicy
  * stable one's survivors are likely cold and won't be moved again,
  * which is what lowers write amplification under hot/cold skew.
  *
- * Scoring is pure 64-bit integer arithmetic: benefit/cost =
- * age * (S - live) / (S + live) compared cross-multiplied so no
- * division rounding enters the victim choice.
+ * Scoring is exact integer arithmetic (see costBenefitScan). The
+ * scan runs in 64-bit words while its products fit, which is every
+ * replay short of about 2^64 / 2S^2 appends, and in 128-bit words
+ * otherwise; both widths pick the same victim.
  */
 class CostBenefitPolicy final : public CleaningPolicy
 {
@@ -78,37 +137,9 @@ class CostBenefitPolicy final : public CleaningPolicy
     std::optional<std::uint32_t>
     selectVictim(const SegmentStateView &view) const override
     {
-        const SectorCount sectors = view.segmentSectors;
-        std::uint32_t victim = 0;
-        // Score numerator/denominator of the current best; compare
-        // candidates by cross-multiplication to stay exact.
-        unsigned __int128 best_num = 0;
-        std::uint64_t best_den = 1;
-        bool found = false;
-        for (std::uint32_t i = 0; i < view.segments.size(); ++i) {
-            const SegmentInfo &segment = view.segments[i];
-            if (segment.free || segment.open)
-                continue;
-            const SectorCount live = segment.live;
-            if (live >= sectors)
-                continue; // fully live: reclaiming frees nothing
-            const std::uint64_t age =
-                view.now - segment.lastWrite + 1;
-            const unsigned __int128 num =
-                static_cast<unsigned __int128>(age) *
-                (sectors - live);
-            const std::uint64_t den = sectors + live;
-            // num/den > best_num/best_den, lowest index on ties.
-            if (!found || num * best_den > best_num * den) {
-                best_num = num;
-                best_den = den;
-                victim = i;
-                found = true;
-            }
-        }
-        if (!found)
-            return std::nullopt;
-        return victim;
+        return productsFit64(view)
+                   ? costBenefitScan<std::uint64_t>(view)
+                   : costBenefitScan<unsigned __int128>(view);
     }
 };
 
