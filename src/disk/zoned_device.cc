@@ -144,9 +144,6 @@ ZonedDevice::readPiece(std::size_t index,
         errorLog_.append({piece.start, 0, readable});
         return out;
     }
-    const DeviceFaultConfig &f = options_.faults;
-    if (f.transientRate <= 0.0 && f.grownRate <= 0.0)
-        return out;
 
     // Every attempt after the first is a retry: a sector that
     // recovers spends the retries it needs, one that does not spends
@@ -216,6 +213,11 @@ ZonedDevice::read(const SectorExtent &extent)
     if (extent.empty())
         return out;
     zones_.ensureCovers(extent.end());
+    // With no read fault armed no zone can be OFFLINE (only a grown
+    // defect takes one there), so no piece can fail or retry.
+    const DeviceFaultConfig &f = options_.faults;
+    if (f.transientRate <= 0.0 && f.grownRate <= 0.0)
+        return out;
     for (std::uint64_t sector = extent.start;
          sector < extent.end();) {
         const std::size_t index = zones_.zoneIndexOf(sector);

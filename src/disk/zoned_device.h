@@ -267,7 +267,9 @@ class ZonedDevice
      * A media read of `extent`. Traverses the fault model sector
      * by sector; transient sectors are retried, and sectors that
      * exhaust the budget (or hit grown defects / offline zones)
-     * are counted as failed rather than thrown.
+     * are counted as failed rather than thrown. With no read fault
+     * armed nothing can fail, and the read only checks that the
+     * device is alive and covers the extent.
      */
     DeviceReadResult read(const SectorExtent &extent);
 
