@@ -67,7 +67,10 @@
 # into .bench_build. Each run replays every cell under the invariant
 # checker and compares its SimResult digest with the one recorded in
 # perfbench/digests.txt; run.py exits 1 when any cell fails or
-# differs, and that fails the gate.
+# differs, and that fails the gate. It then runs all three again at
+# seed 7, which has no recorded digests: every pass must still
+# reproduce the digests of its own validation pass, which catches
+# state that depends on anything but the replayed input.
 #
 # Usage:
 #   scripts/tier1.sh            # all three presets
@@ -210,6 +213,11 @@ run_perfbench_smoke() {
         python3 perfbench/run.py --workload "${workload}" --seconds 1
     done
     echo "==> tier1: perfbench-smoke digests match perfbench/digests.txt"
+    for workload in fig11 hot-reread write-churn; do
+        python3 perfbench/run.py --workload "${workload}" --seed 7 \
+            --seconds 1
+    done
+    echo "==> tier1: perfbench-smoke seed 7 passes reproduce their validation"
 }
 
 for preset in "${PRESETS[@]}"; do
