@@ -14,15 +14,18 @@
  *    regression test against the preserved reference cleaner;
  *  - cost-benefit: Sprite-LFS scoring age x (1-u)/(1+u), which
  *    prefers stable ("cold") fragmented segments over just-filled
- *    ones and lowers write amplification under hot/cold skew;
+ *    ones and lowers write amplification under hot/cold skew. It
+ *    scores in exact integers, in 64-bit words while every
+ *    cross-multiplied product fits and in 128-bit words past that;
  *  - zone-granular: SMORE-style whole-zone reclamation that streams
  *    the victim zone in one sequential read (one seek instead of
  *    one per live extent), rewrites the live data at the frontier
  *    and resets the zone.
  *
- * Policies are pure selectors over a read-only SegmentStateView;
- * they mutate nothing and draw no entropy, so every replay remains
- * byte-identical across job counts.
+ * Policies are pure selectors over a read-only SegmentStateView,
+ * one flat scan per victim; they mutate nothing and draw no
+ * entropy, so every replay remains byte-identical across job
+ * counts.
  */
 
 #ifndef LOGSEEK_STL_GC_CLEANING_POLICY_H
