@@ -25,7 +25,6 @@
 #include "stl/log_structured.h"
 #include "stl/media_cache.h"
 #include "stl/prefetch.h"
-#include "stl/read_stage.h"
 #include "stl/replay_engine.h"
 #include "stl/selective_cache.h"
 #include "stl/simulator.h"

@@ -7,30 +7,12 @@ Accounting::Accounting(SimResult &result,
                        const disk::SeekTimeParams &params)
     : result_(result), timeModel_(params)
 {
-    auto &registry = telemetry::Registry::global();
-    requestsRead_ = &registry.counter("replay_requests_total",
-                                      "type=\"read\"");
-    requestsWrite_ = &registry.counter("replay_requests_total",
-                                       "type=\"write\"");
-    seeksRead_ =
-        &registry.counter("replay_seeks_total", "type=\"read\"");
-    seeksWrite_ =
-        &registry.counter("replay_seeks_total", "type=\"write\"");
-    seeksCleaning_ = &registry.counter("replay_seeks_total",
-                                       "type=\"cleaning\"");
-    mediaReadBytes_ = &registry.counter("replay_media_bytes_total",
-                                        "dir=\"read\"");
-    mediaWriteBytes_ = &registry.counter("replay_media_bytes_total",
-                                         "dir=\"write\"");
-    defragRewrites_ =
-        &registry.counter("replay_defrag_rewrites_total");
 }
 
 void
 Accounting::beginRead()
 {
     ++result_.reads;
-    requestsRead_->add();
 }
 
 void
@@ -38,7 +20,6 @@ Accounting::beginWrite(std::uint64_t host_bytes)
 {
     ++result_.writes;
     result_.hostWriteBytes += host_bytes;
-    requestsWrite_->add();
 }
 
 void
@@ -58,23 +39,17 @@ Accounting::hostAccess(IoEvent &event, const SectorExtent &extent,
     event.mediaBytes += extent.bytes();
     if (info.seeked) {
         event.seeks.push_back(info);
-        if (type == trace::IoType::Read) {
+        if (type == trace::IoType::Read)
             ++result_.readSeeks;
-            seeksRead_->add();
-        } else {
+        else
             ++result_.writeSeeks;
-            seeksWrite_->add();
-        }
         result_.seekTimeSec +=
             timeModel_.seekSeconds(info.distanceBytes);
     }
-    if (type == trace::IoType::Read) {
+    if (type == trace::IoType::Read)
         result_.mediaReadBytes += extent.bytes();
-        mediaReadBytes_->add(extent.bytes());
-    } else {
+    else
         result_.mediaWriteBytes += extent.bytes();
-        mediaWriteBytes_->add(extent.bytes());
-    }
     if (device_ != nullptr)
         deviceAccess(event, extent, type);
 }
@@ -87,7 +62,6 @@ Accounting::cleaningAccess(IoEvent &event, const MediaAccess &access)
     if (info.seeked) {
         ++result_.cleaningSeeks;
         ++event.cleaningSeeks;
-        seeksCleaning_->add();
         result_.seekTimeSec +=
             timeModel_.seekSeconds(info.distanceBytes);
     }
@@ -175,7 +149,6 @@ Accounting::defragRewrite(IoEvent &event, std::uint64_t bytes)
     event.defragRewrite = true;
     ++result_.defragRewrites;
     result_.defragBytes += bytes;
-    defragRewrites_->add();
 }
 
 void

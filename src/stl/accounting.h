@@ -7,10 +7,11 @@
  * Accounting instance per run. The disk head lives here too, so
  * host-visible and cleaning accesses share one physical position
  * and the seek definition (§II) is applied in exactly one place.
- * Read stages and the replay engine report what happened; only
- * Accounting decides how it shows up in the result. Each access is
- * classified, timed and mirrored through the zoned device the
- * moment it is reported, in replay order.
+ * The replay engine reports what happened; only Accounting decides
+ * how it shows up in the result. Each access is classified, timed
+ * and mirrored through the zoned device the moment it is reported,
+ * in replay order. The replay's telemetry counters are published
+ * from the finished result, not from here.
  */
 
 #ifndef LOGSEEK_STL_ACCOUNTING_H
@@ -24,7 +25,6 @@
 #include "disk/zoned_device.h"
 #include "stl/simulator.h"
 #include "stl/translation_layer.h"
-#include "telemetry/metrics.h"
 
 namespace logseek::stl
 {
@@ -110,18 +110,6 @@ class Accounting
     disk::DiskHead head_;
     disk::SeekTimeModel timeModel_;
     disk::ZonedDevice *device_ = nullptr;
-
-    // Telemetry handles, resolved once at construction; add() is
-    // self-gated on the global enabled flag, so calls below cost a
-    // relaxed load when telemetry is off.
-    telemetry::Counter *requestsRead_;
-    telemetry::Counter *requestsWrite_;
-    telemetry::Counter *seeksRead_;
-    telemetry::Counter *seeksWrite_;
-    telemetry::Counter *seeksCleaning_;
-    telemetry::Counter *mediaReadBytes_;
-    telemetry::Counter *mediaWriteBytes_;
-    telemetry::Counter *defragRewrites_;
 };
 
 } // namespace logseek::stl

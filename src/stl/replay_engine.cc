@@ -22,180 +22,6 @@ namespace
 {
 
 /**
- * Relocation callback for the defrag trigger: rewrites an LBA range
- * contiguously at the layer's write frontier, filling the caller's
- * reusable buffer with the placed segments.
- */
-using RelocateFn =
-    std::function<void(const SectorExtent &, SegmentBuffer &)>;
-
-/** §IV-C selective caching: serves fragments of fragmented reads. */
-class SelectiveCacheStage : public ReadStage
-{
-  public:
-    SelectiveCacheStage(const SelectiveCacheConfig &config,
-                        Accounting &accounting)
-        : cache_(config), accounting_(accounting)
-    {
-    }
-
-    std::string_view name() const override
-    {
-        return "selective-cache";
-    }
-
-    ServeOutcome
-    serve(const ReadFragment &fragment, IoEvent &event) override
-    {
-        // Algorithm 3 caches only fragments of fragmented reads;
-        // un-fragmented reads bypass the cache entirely.
-        if (!fragment.fragmented)
-            return ServeOutcome::Miss;
-        if (cache_.lookup(fragment.physical)) {
-            accounting_.cacheHit(event);
-            return ServeOutcome::Hit;
-        }
-        accounting_.cacheMiss();
-        return ServeOutcome::Miss;
-    }
-
-    void
-    onFetched(const ReadFragment &fragment,
-              const SectorExtent &region) override
-    {
-        (void)region;
-        // Admit the fragment itself, not the (possibly widened)
-        // fetch region: caching prefetch slack would conflate the
-        // two mechanisms.
-        if (fragment.fragmented)
-            cache_.admit(fragment.physical);
-    }
-
-  private:
-    SelectiveCache cache_;
-    Accounting &accounting_;
-};
-
-/** §IV-B look-ahead-behind prefetching via the drive buffer. */
-class PrefetchStage : public ReadStage
-{
-  public:
-    PrefetchStage(const PrefetchConfig &config,
-                  Accounting &accounting)
-        : prefetch_(config), accounting_(accounting)
-    {
-    }
-
-    std::string_view name() const override { return "prefetch"; }
-
-    ServeOutcome
-    serve(const ReadFragment &fragment, IoEvent &event) override
-    {
-        // The drive buffer is consulted for every read; it is only
-        // populated by look-ahead-behind fetches.
-        if (prefetch_.lookup(fragment.physical)) {
-            accounting_.prefetchHit(event);
-            return ServeOutcome::Hit;
-        }
-        return ServeOutcome::Miss;
-    }
-
-    SectorExtent
-    widenFetch(const ReadFragment &fragment,
-               const SectorExtent &region) const override
-    {
-        // Algorithm 2 fetches around fragments of fragmented reads
-        // only.
-        if (!fragment.fragmented)
-            return region;
-        return prefetch_.fetchRegion(fragment.physical);
-    }
-
-    void
-    onFetched(const ReadFragment &fragment,
-              const SectorExtent &region) override
-    {
-        if (fragment.fragmented)
-            prefetch_.admit(region);
-    }
-
-  private:
-    Prefetcher prefetch_;
-    Accounting &accounting_;
-};
-
-/** Terminal stage: transfer the fetch region from the media. */
-class MediaAccessStage : public ReadStage
-{
-  public:
-    explicit MediaAccessStage(Accounting &accounting)
-        : accounting_(accounting)
-    {
-    }
-
-    std::string_view name() const override { return "media"; }
-
-    ServeOutcome
-    serve(const ReadFragment &fragment, IoEvent &event) override
-    {
-        accounting_.hostAccess(event, fragment.fetchRegion,
-                               trace::IoType::Read);
-        return ServeOutcome::Fetched;
-    }
-
-  private:
-    Accounting &accounting_;
-};
-
-/**
- * §IV-A opportunistic defragmentation: after a fragmented read is
- * served, optionally rewrite the range at the write frontier.
- */
-class DefragStage : public ReadStage
-{
-  public:
-    DefragStage(const DefragConfig &config, RelocateFn relocate,
-                Accounting &accounting)
-        : defrag_(config), relocate_(std::move(relocate)),
-          accounting_(accounting)
-    {
-    }
-
-    std::string_view name() const override { return "defrag"; }
-
-    ServeOutcome
-    serve(const ReadFragment &fragment, IoEvent &event) override
-    {
-        (void)fragment;
-        (void)event;
-        return ServeOutcome::Miss;
-    }
-
-    void
-    onReadComplete(const trace::IoRecord &record,
-                   IoEvent &event) override
-    {
-        // Algorithm 1: write back heavily fragmented ranges at the
-        // log head, paying one extra (write) seek.
-        if (!defrag_.onRead(record.extent, event.segments.size()))
-            return;
-        relocate_(record.extent, scratch_);
-        event.defragSegments.assign(scratch_.begin(),
-                                    scratch_.end());
-        accounting_.defragRewrite(event, record.extent.bytes());
-        for (const auto &segment : event.defragSegments)
-            accounting_.hostAccess(event, segment.physical(),
-                                   trace::IoType::Write);
-    }
-
-  private:
-    Defragmenter defrag_;
-    RelocateFn relocate_;
-    Accounting &accounting_;
-    SegmentBuffer scratch_;
-};
-
-/**
  * Copy a record's translated segments into `out`, merging
  * physically-and-logically adjacent neighbors on the way — one pass
  * instead of translateInto + mergeInPlace + assign. The predicate
@@ -221,105 +47,49 @@ mergeAssign(const Segment *begin, const Segment *end,
     }
 }
 
+/** Nanoseconds since `start`, clamped at 0. */
+std::uint64_t
+elapsedNs(std::chrono::steady_clock::time_point start)
+{
+    const auto ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
+}
+
+/** The `stage` label of each read-path step, in Stage order. */
+constexpr std::array<const char *, 4> kStageNames = {
+    "selective-cache", "prefetch", "media", "defrag"};
+
 } // namespace
 
-void
-ReadPipeline::addStage(std::unique_ptr<ReadStage> stage)
+class ReplayEngine::StageTimer
 {
-    panicIf(stage == nullptr, "ReadPipeline: null stage");
-    StageSlot slot;
-    const std::string label =
-        "stage=\"" + std::string(stage->name()) + "\"";
-    auto &registry = telemetry::Registry::global();
-    slot.hits = &registry.counter("replay_stage_serves_total",
-                                  label + ",outcome=\"hit\"");
-    slot.fetches = &registry.counter("replay_stage_serves_total",
-                                     label + ",outcome=\"fetched\"");
-    slot.misses = &registry.counter("replay_stage_serves_total",
-                                    label + ",outcome=\"miss\"");
-    slot.serveLatency = &registry.histogram(
-        "replay_stage_serve_latency_ns", label);
-    slot.stage = std::move(stage);
-    stages_.push_back(std::move(slot));
-}
-
-void
-ReadPipeline::serveFragment(ReadFragment fragment, IoEvent &event)
-{
-    fragment.fetchRegion = fragment.physical;
-    for (const auto &slot : stages_)
-        fragment.fetchRegion =
-            slot.stage->widenFetch(fragment, fragment.fetchRegion);
-
-    // The branch on telemetry::enabled() keeps the clock reads
-    // (and everything downstream of them) off the disabled path.
-    const bool timed = telemetry::enabled();
-    for (auto &slot : stages_) {
-        ServeOutcome outcome;
-        if (timed) {
-            const auto start = std::chrono::steady_clock::now();
-            outcome = slot.stage->serve(fragment, event);
-            const auto ns =
-                std::chrono::duration_cast<
-                    std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            const std::uint64_t elapsed =
-                ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
-            slot.serveNs += elapsed;
-            slot.serveLatency->record(elapsed);
-            (outcome == ServeOutcome::Hit       ? slot.hits
-             : outcome == ServeOutcome::Fetched ? slot.fetches
-                                                : slot.misses)
-                ->add();
-        } else {
-            outcome = slot.stage->serve(fragment, event);
-        }
-        switch (outcome) {
-        case ServeOutcome::Miss:
-            continue;
-        case ServeOutcome::Hit:
-            return;
-        case ServeOutcome::Fetched:
-            // The transfer populates the stages above the media;
-            // notify bottom-up so admission order matches the data
-            // flow.
-            for (auto it = stages_.rbegin(); it != stages_.rend();
-                 ++it)
-                it->stage->onFetched(fragment, fragment.fetchRegion);
-            return;
-        }
+  public:
+    StageTimer(ReplayEngine &engine, Stage stage)
+        : time_(engine.timed_ ? &engine.stageTime_[stage] : nullptr)
+    {
+        if (time_ != nullptr)
+            start_ = std::chrono::steady_clock::now();
     }
-    panic("ReadPipeline: fragment fell through every stage "
-          "(missing media-access stage?)");
-}
 
-void
-ReadPipeline::completeRead(const trace::IoRecord &record,
-                           IoEvent &event)
-{
-    for (const auto &slot : stages_)
-        slot.stage->onReadComplete(record, event);
-}
+    StageTimer(const StageTimer &) = delete;
+    StageTimer &operator=(const StageTimer &) = delete;
 
-ReplayEngine::ReplayEngine(const SimConfig &config,
-                           const trace::Trace &trace,
-                           const std::vector<SimObserver *> &observers)
-    : ReplayEngine(config,
-                   std::make_unique<trace::TraceRef>(trace),
-                   observers)
-{
-}
+    ~StageTimer()
+    {
+        if (time_ == nullptr)
+            return;
+        const std::uint64_t ns = elapsedNs(start_);
+        time_->ns += ns;
+        time_->latency->record(ns);
+    }
 
-ReplayEngine::ReplayEngine(const SimConfig &config,
-                           std::unique_ptr<trace::TraceInput> owned,
-                           const std::vector<SimObserver *> &observers)
-    : ReplayEngine(config, *owned, observers)
-{
-    // The delegated ctor stored &*owned in input_; moving the
-    // unique_ptr into the member does not relocate the pointee.
-    ownedInput_ = std::move(owned);
-}
+  private:
+    StageTime *time_;
+    std::chrono::steady_clock::time_point start_;
+};
 
 ReplayEngine::ReplayEngine(const SimConfig &config,
                            trace::TraceInput &input,
@@ -332,12 +102,11 @@ ReplayEngine::ReplayEngine(const SimConfig &config,
 
     // Translation layer. Defragmentation needs a layer that can
     // relocate ranges to the frontier; both log variants can.
-    RelocateFn relocate;
     if (config_.translation == TranslationKind::LogStructured) {
         auto ls = std::make_unique<LogStructuredLayer>(
             input.addressSpaceEnd(), config_.zones);
-        relocate = [raw = ls.get()](const SectorExtent &extent,
-                                    SegmentBuffer &out) {
+        relocate_ = [raw = ls.get()](const SectorExtent &extent,
+                                     SegmentBuffer &out) {
             raw->relocateInto(extent, out);
         };
         layer_ = std::move(ls);
@@ -345,8 +114,8 @@ ReplayEngine::ReplayEngine(const SimConfig &config,
                TranslationKind::FiniteLogStructured) {
         auto fl = std::make_unique<FiniteLogStructuredLayer>(
             input.addressSpaceEnd(), config_.finiteLog);
-        relocate = [raw = fl.get()](const SectorExtent &extent,
-                                    SegmentBuffer &out) {
+        relocate_ = [raw = fl.get()](const SectorExtent &extent,
+                                     SegmentBuffer &out) {
             raw->relocateInto(extent, out);
         };
         cleaningMerges_ = [raw = fl.get()] {
@@ -417,27 +186,33 @@ ReplayEngine::ReplayEngine(const SimConfig &config,
         accounting_.attachDevice(device_.get());
     }
 
-    // Read path: selective cache → prefetch buffer → media access
-    // → defrag trigger.
-    if (config_.cache)
-        pipeline_.addStage(std::make_unique<SelectiveCacheStage>(
-            *config_.cache, accounting_));
-    if (config_.prefetch)
-        pipeline_.addStage(std::make_unique<PrefetchStage>(
-            *config_.prefetch, accounting_));
-    pipeline_.addStage(
-        std::make_unique<MediaAccessStage>(accounting_));
-    if (config_.defrag && relocate)
-        pipeline_.addStage(std::make_unique<DefragStage>(
-            *config_.defrag, std::move(relocate), accounting_));
+    // The §IV mechanisms; the defrag trigger needs a layer that can
+    // relocate.
+    auto &registry = telemetry::Registry::global();
+    const auto stage_latency = [&](Stage stage) {
+        stageTime_[stage].latency = &registry.histogram(
+            "replay_stage_serve_latency_ns",
+            std::string("stage=\"") + kStageNames[stage] + "\"");
+    };
+    if (config_.cache) {
+        cache_.emplace(*config_.cache);
+        stage_latency(Cache);
+    }
+    if (config_.prefetch) {
+        prefetch_.emplace(*config_.prefetch);
+        stage_latency(Prefetch);
+    }
+    stage_latency(Media);
+    if (config_.defrag && relocate_) {
+        defrag_.emplace(*config_.defrag);
+        stage_latency(Defrag);
+    }
 
     layerHasMaintenance_ = layer_->hasMaintenance();
-    mediaOnly_ = pipeline_.stageCount() == 1;
 
-    readLatency_ = &telemetry::Registry::global().histogram(
-        "replay_read_latency_ns");
-    translateLatency_ = &telemetry::Registry::global().histogram(
-        "replay_translate_latency_ns");
+    readLatency_ = &registry.histogram("replay_read_latency_ns");
+    translateLatency_ =
+        &registry.histogram("replay_translate_latency_ns");
 }
 
 ReplayEngine::~ReplayEngine() = default;
@@ -445,6 +220,8 @@ ReplayEngine::~ReplayEngine() = default;
 SimResult
 ReplayEngine::run()
 {
+    timed_ = telemetry::enabled();
+
     // Pull-based replay: the input hands over kPullSize records at a
     // time (an in-RAM copy, a zero-copy mmap span or a freshly
     // synthesized chunk — the loop cannot tell), so memory use is
@@ -455,20 +232,12 @@ ReplayEngine::run()
         const std::size_t n = input_->next(batch_, kPullSize);
         if (n == 0)
             break;
-
-        // The telemetry switch is sampled once per pull: the
-        // media-only fast path skips the pipeline (and with it the
-        // per-stage counters), so it must stay off while telemetry
-        // is on.
-        const bool fast_media_only =
-            mediaOnly_ && !telemetry::enabled();
-
         for (std::size_t k = 0; k < n; ++k, ++op) {
             event_.reset();
             event_.opIndex = op;
             event_.record = batch_.record(k);
             if (event_.record.isRead())
-                serveRead(fast_media_only);
+                serveRead();
             else
                 serveWrite();
             for (auto *observer : observers_)
@@ -487,7 +256,6 @@ ReplayEngine::run()
     }
     accounting_.setStaticFragments(layer_->staticFragmentCount());
     accounting_.finishDevice();
-    emitStageSpans();
 
     // --paranoid: the in-memory translation state and the durable
     // journal must agree at the end of every run.
@@ -498,27 +266,75 @@ ReplayEngine::run()
             fatal("paranoid fsck failed after replay of '" +
                   input_->name() + "': " + fsck.toString());
     }
+    if (timed_)
+        publishTelemetry();
     return std::move(result_);
 }
 
 void
-ReplayEngine::emitStageSpans()
+ReplayEngine::publishTelemetry() const
 {
-    // One aggregate span per stage per replay: per-fragment spans
-    // would swamp the trace (millions of events), so the pipeline
-    // accumulates serve time per stage and we emit it here as a
-    // single back-dated span ending now.
-    if (!telemetry::enabled())
-        return;
+    // Every replay counter is a function of the finished result, so
+    // it is published here once instead of per event.
+    const SimResult &r = result_;
+    auto &registry = telemetry::Registry::global();
+    registry.counter("replay_requests_total", "type=\"read\"")
+        .add(r.reads);
+    registry.counter("replay_requests_total", "type=\"write\"")
+        .add(r.writes);
+    registry.counter("replay_seeks_total", "type=\"read\"")
+        .add(r.readSeeks);
+    registry.counter("replay_seeks_total", "type=\"write\"")
+        .add(r.writeSeeks);
+    registry.counter("replay_seeks_total", "type=\"cleaning\"")
+        .add(r.cleaningSeeks);
+    registry.counter("replay_media_bytes_total", "dir=\"read\"")
+        .add(r.mediaReadBytes);
+    registry.counter("replay_media_bytes_total", "dir=\"write\"")
+        .add(r.mediaWriteBytes);
+    registry.counter("replay_defrag_rewrites_total")
+        .add(r.defragRewrites);
+
+    // A read is one fragment unless it is fragmented. The cache is
+    // offered every fragment, the buffer those the cache did not
+    // serve, and the media those neither served.
+    const std::uint64_t fragments =
+        r.readFragments + r.reads - r.fragmentedReads;
+    const std::uint64_t fetched =
+        fragments - r.cacheHits - r.prefetchHits;
+    const auto serves = [&](Stage stage, const char *outcome,
+                            std::uint64_t n) {
+        registry
+            .counter("replay_stage_serves_total",
+                     std::string("stage=\"") + kStageNames[stage] +
+                         "\",outcome=\"" + outcome + "\"")
+            .add(n);
+    };
+    if (cache_) {
+        serves(Cache, "hit", r.cacheHits);
+        serves(Cache, "miss", fragments - r.cacheHits);
+    }
+    if (prefetch_) {
+        serves(Prefetch, "hit", r.prefetchHits);
+        serves(Prefetch, "miss", fetched);
+    }
+    serves(Media, "fetched", fetched);
+
+    // One aggregate span per step per replay: per-fragment spans
+    // would swamp the trace (millions of events), so the steps
+    // accumulate their time and it is emitted here as a single
+    // back-dated span ending now.
     auto *writer = telemetry::globalTraceWriter();
     if (writer == nullptr)
         return;
     const std::uint64_t end = writer->nowUs();
-    for (std::size_t i = 0; i < pipeline_.stageCount(); ++i) {
+    for (std::size_t i = 0; i < StageCount; ++i) {
+        if (stageTime_[i].latency == nullptr)
+            continue;
         telemetry::TraceSpan span;
-        span.name = "stage:" + std::string(pipeline_.stageName(i));
+        span.name = std::string("stage:") + kStageNames[i];
         span.category = "replay-stage";
-        span.durationUs = pipeline_.stageServeNs(i) / 1000;
+        span.durationUs = stageTime_[i].ns / 1000;
         span.timestampUs =
             end > span.durationUs ? end - span.durationUs : 0;
         span.tid = telemetry::TraceEventWriter::currentTid();
@@ -529,13 +345,15 @@ ReplayEngine::emitStageSpans()
 }
 
 void
-ReplayEngine::serveRead(bool fast_media_only)
+ReplayEngine::serveRead()
 {
     IoEvent &event = event_;
-    const telemetry::ScopedTimer timer(readLatency_);
+    const telemetry::ScopedTimer timer(timed_ ? readLatency_
+                                              : nullptr);
     accounting_.beginRead();
     {
-        const telemetry::ScopedTimer translate(translateLatency_);
+        const telemetry::ScopedTimer translate(
+            timed_ ? translateLatency_ : nullptr);
         layer_->translateReadInto(event.record.extent,
                                   segmentScratch_);
     }
@@ -543,24 +361,75 @@ ReplayEngine::serveRead(bool fast_media_only)
                 event.segments);
     accounting_.readFragmentation(event.segments.size());
     const bool fragmented = event.segments.size() >= 2;
-
-    if (fast_media_only) {
-        // Pipeline == {media access} and telemetry is off: the
-        // serve pass reduces to one host access per fragment (no
-        // widening, no admissions, no completion hooks), so skip
-        // the stage machinery entirely.
-        for (const auto &segment : event.segments)
-            accounting_.hostAccess(event, segment.physical(),
-                                   trace::IoType::Read);
-    } else {
-        for (const auto &segment : event.segments)
-            pipeline_.serveFragment(
-                ReadFragment{segment.physical(), fragmented,
-                             segment.physical()},
-                event);
-        pipeline_.completeRead(event.record, event);
+    for (const auto &segment : event.segments)
+        serveFragment(segment.physical(), fragmented);
+    if (defrag_) {
+        const StageTimer time(*this, Defrag);
+        defragTrigger();
     }
     runMaintenance();
+}
+
+void
+ReplayEngine::serveFragment(const SectorExtent &physical,
+                            bool fragmented)
+{
+    // Algorithm 3 looks up fragments of fragmented reads only; the
+    // fragments of unfragmented reads pass it untouched.
+    if (cache_) {
+        const StageTimer time(*this, Cache);
+        if (fragmented) {
+            if (cache_->lookup(physical)) {
+                accounting_.cacheHit(event_);
+                return;
+            }
+            accounting_.cacheMiss();
+        }
+    }
+    // The drive buffer is looked up for every fragment; only
+    // look-ahead-behind fetches fill it.
+    if (prefetch_) {
+        const StageTimer time(*this, Prefetch);
+        if (prefetch_->lookup(physical)) {
+            accounting_.prefetchHit(event_);
+            return;
+        }
+    }
+    // One media access. Algorithm 2 widens it around fragments of
+    // fragmented reads only.
+    const SectorExtent region = prefetch_ && fragmented
+                                    ? prefetch_->fetchRegion(physical)
+                                    : physical;
+    {
+        const StageTimer time(*this, Media);
+        accounting_.hostAccess(event_, region, trace::IoType::Read);
+    }
+    // The transfer fills the buffer, then the cache, bottom-up. The
+    // cache admits the fragment itself, not the fetch region:
+    // caching the prefetch slack would conflate the two mechanisms.
+    if (fragmented) {
+        if (prefetch_)
+            prefetch_->admit(region);
+        if (cache_)
+            cache_->admit(physical);
+    }
+}
+
+void
+ReplayEngine::defragTrigger()
+{
+    // Algorithm 1: write back heavily fragmented ranges at the log
+    // head, paying one extra (write) seek.
+    IoEvent &event = event_;
+    if (!defrag_->onRead(event.record.extent, event.segments.size()))
+        return;
+    relocate_(event.record.extent, segmentScratch_);
+    event.defragSegments.assign(segmentScratch_.begin(),
+                                segmentScratch_.end());
+    accounting_.defragRewrite(event, event.record.extent.bytes());
+    for (const auto &segment : event.defragSegments)
+        accounting_.hostAccess(event, segment.physical(),
+                               trace::IoType::Write);
 }
 
 void

@@ -3,36 +3,50 @@
  * Per-run trace-replay engine.
  *
  * A ReplayEngine is built fresh for one (trace, config) run: it
- * instantiates the translation layer, assembles the read-path
- * pipeline (selective cache → prefetch buffer → media access →
- * defrag trigger), and routes every byte and seek through a single
+ * instantiates the translation layer and the configured §IV
+ * mechanisms, and routes every byte and seek through a single
  * Accounting sink. The Simulator facade constructs one engine per
- * run; tests and future backends can drive the engine directly.
+ * run.
  *
  * Records are pulled from the input kPullSize at a time into a
  * columnar IoEventBatch (an mmap'd LSKC file fills it zero-copy)
  * and served one by one in trace order: a read through one
- * translateReadInto call and the read pipeline, a write through one
- * placeWriteInto call, each followed by any cleaning the layer owes.
- * Observers see a record's IoEvent as soon as it has been served.
+ * translateReadInto call and the read path below, a write through
+ * one placeWriteInto call, each followed by any cleaning the layer
+ * owes. Observers see a record's IoEvent as soon as it has been
+ * served.
+ *
+ * The read path serves each fragment of a read in the paper's
+ * precedence: a selective-cache hit (Algorithm 3) beats a
+ * drive-buffer hit (Algorithm 2), which beats a media fetch. After
+ * a media fetch of a fragment of a fragmented read the buffer
+ * admits the fetched region and then the cache admits the fragment;
+ * after the read's last fragment the defrag trigger (Algorithm 1)
+ * runs. Every configuration takes this one path, with or without
+ * telemetry.
  */
 
 #ifndef LOGSEEK_STL_REPLAY_ENGINE_H
 #define LOGSEEK_STL_REPLAY_ENGINE_H
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "disk/zoned_device.h"
 #include "stl/accounting.h"
-#include "stl/read_stage.h"
+#include "stl/defrag.h"
+#include "stl/prefetch.h"
+#include "stl/selective_cache.h"
 #include "stl/simulator.h"
 #include "stl/translation_layer.h"
+#include "telemetry/metrics.h"
 #include "trace/input.h"
 #include "trace/io_batch.h"
-#include "trace/trace.h"
 
 namespace logseek::stl
 {
@@ -64,38 +78,53 @@ class ReplayEngine
     ReplayEngine(const SimConfig &config, trace::TraceInput &input,
                  const std::vector<SimObserver *> &observers);
 
-    /** Convenience overload replaying an in-RAM trace (wraps it in
-     *  an engine-owned TraceRef). */
-    ReplayEngine(const SimConfig &config, const trace::Trace &trace,
-                 const std::vector<SimObserver *> &observers);
-
     ~ReplayEngine();
 
     ReplayEngine(const ReplayEngine &) = delete;
     ReplayEngine &operator=(const ReplayEngine &) = delete;
 
-    /** Replay the whole trace and return the aggregate result. */
+    /**
+     * Replay the whole trace and return the aggregate result. When
+     * telemetry is armed as the run starts, the replay's counters
+     * are published from the finished result once, at the end; a
+     * run that throws publishes nothing.
+     */
     SimResult run();
 
     /** Records pulled from the input per TraceInput::next call. */
     static constexpr std::size_t kPullSize = 256;
 
-    /** The assembled read path (introspection for tests). */
-    const ReadPipeline &readPipeline() const { return pipeline_; }
-
   private:
-    /** Delegation helper: the Trace overload routes through this
-     *  to keep the owned TraceRef alive for the engine's life. */
-    ReplayEngine(const SimConfig &config,
-                 std::unique_ptr<trace::TraceInput> owned,
-                 const std::vector<SimObserver *> &observers);
+    /** The read path's steps, in precedence order. */
+    enum Stage : std::size_t
+    {
+        Cache,
+        Prefetch,
+        Media,
+        Defrag,
+        StageCount,
+    };
 
-    /**
-     * Serve event_'s read. `fast_media_only` short-circuits the
-     * pipeline when it is exactly the media-access stage and
-     * telemetry is off.
-     */
-    void serveRead(bool fast_media_only);
+    /** One step's telemetry: its serve-latency histogram (null when
+     *  the step is not configured) and its time this run. */
+    struct StageTime
+    {
+        telemetry::LatencyHistogram *latency = nullptr;
+        std::uint64_t ns = 0;
+    };
+
+    /** Charges the time until its scope ends to one step, in timed
+     *  runs only. */
+    class StageTimer;
+
+    /** Serve event_'s read. */
+    void serveRead();
+
+    /** Serve one physical fragment of event_'s read. */
+    void serveFragment(const SectorExtent &physical, bool fragmented);
+
+    /** Algorithm 1's trigger, after event_'s read was served. */
+    void defragTrigger();
 
     /** Serve event_'s write. */
     void serveWrite();
@@ -107,14 +136,11 @@ class ReplayEngine
      */
     void runMaintenance();
 
-    /** Emit one aggregate trace span per read stage (end of run). */
-    void emitStageSpans();
+    /** Publish the finished run's counters and one aggregate trace
+     *  span per configured read-path step. */
+    void publishTelemetry() const;
 
     SimConfig config_;
-
-    /** Set only by the Trace convenience ctor: the TraceRef the
-     *  engine itself owns; input_ points at it then. */
-    std::unique_ptr<trace::TraceInput> ownedInput_;
 
     /** The record stream being replayed; never null. */
     trace::TraceInput *input_;
@@ -129,7 +155,21 @@ class ReplayEngine
      *  media access Accounting sees is mirrored through it. */
     std::unique_ptr<disk::ZonedDevice> device_;
 
-    ReadPipeline pipeline_;
+    /** The §IV mechanisms; each is empty unless configured. The
+     *  defragmenter also needs a layer that can relocate. */
+    std::optional<SelectiveCache> cache_;
+    std::optional<Prefetcher> prefetch_;
+    std::optional<Defragmenter> defrag_;
+
+    /** Rewrites an LBA range contiguously at the layer's write
+     *  frontier; set for the two log layers. */
+    std::function<void(const SectorExtent &, SegmentBuffer &)>
+        relocate_;
+
+    /** telemetry::enabled(), sampled once as run() starts. */
+    bool timed_ = false;
+
+    std::array<StageTime, StageCount> stageTime_{};
 
     /** End-to-end latency of one logical read (telemetry). */
     telemetry::LatencyHistogram *readLatency_ = nullptr;
@@ -150,9 +190,6 @@ class ReplayEngine
 
     /** layer_->hasMaintenance(), sampled once at construction. */
     bool layerHasMaintenance_ = false;
-
-    /** True when the pipeline is exactly the media-access stage. */
-    bool mediaOnly_ = false;
 
     /** Samples the layer's merge/cleaning counter; may be empty. */
     std::function<std::uint64_t()> cleaningMerges_;

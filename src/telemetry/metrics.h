@@ -11,9 +11,10 @@
  * thread increments its own cache-line-padded cell, and the shards
  * are only summed when a snapshot is taken. Metric handles returned
  * by the registry are stable for the life of the process, so
- * per-run objects (replay engines, accounting sinks, task pools)
- * resolve their handles once at construction and pay only the
- * enabled-check plus one relaxed fetch_add per event afterwards.
+ * per-run objects (replay engines, task pools) resolve their handles
+ * once at construction and pay only the enabled-check plus one
+ * relaxed fetch_add per event afterwards. The replay engine's
+ * counters are published once per run, from its finished result.
  */
 
 #ifndef LOGSEEK_TELEMETRY_METRICS_H
