@@ -70,7 +70,10 @@
 # differs, and that fails the gate. It then runs all three again at
 # seed 7, which has no recorded digests: every pass must still
 # reproduce the digests of its own validation pass, which catches
-# state that depends on anything but the replayed input.
+# state that depends on anything but the replayed input. Last, one
+# traced hot-reread run (--trace 1) replays the cells with telemetry
+# armed: those passes must reproduce the recorded digests too, and
+# every standalone cross-check of its per-layer ledger must match.
 #
 # Usage:
 #   scripts/tier1.sh            # all three presets
@@ -218,6 +221,8 @@ run_perfbench_smoke() {
             --seconds 1
     done
     echo "==> tier1: perfbench-smoke seed 7 passes reproduce their validation"
+    python3 perfbench/run.py --workload hot-reread --trace 1 --seconds 1
+    echo "==> tier1: perfbench-smoke traced hot-reread matches with telemetry armed"
 }
 
 for preset in "${PRESETS[@]}"; do
