@@ -3,44 +3,13 @@
 #include <algorithm>
 
 #include "util/logging.h"
+#include "util/search.h"
 
 namespace logseek::disk
 {
 
 namespace
 {
-
-/** Ranges up to this length are searched by a linear count, longer
- *  ones by bisection. A prefetch buffer's whole index is one such
- *  range; the count's compares are independent, where each
- *  bisection step waits on the load before it. */
-constexpr std::size_t kLinearSearchMax = 16;
-
-/**
- * Number of items[0, n) whose key is <= key, for items sorted by
- * key: the upper-bound position. Neither search branches on the
- * keys.
- */
-template <typename T, typename KeyOf>
-std::size_t
-countAtMost(const T *items, std::size_t n, std::uint64_t key,
-            KeyOf keyOf)
-{
-    if (n <= kLinearSearchMax) {
-        std::size_t count = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            count += keyOf(items[i]) <= key;
-        return count;
-    }
-    const T *base = items;
-    while (n > 1) {
-        const std::size_t half = n / 2;
-        base = keyOf(base[half]) <= key ? base + half : base;
-        n -= half;
-    }
-    return static_cast<std::size_t>(base - items) +
-           (keyOf(*base) <= key);
-}
 
 /** Upper-bound position of start among a block's entries. */
 template <typename Block>
@@ -126,8 +95,7 @@ std::size_t
 PbaRangeCache::blockFor(std::uint64_t start) const
 {
     const std::size_t after =
-        countAtMost(firstStarts_.data(), firstStarts_.size(), start,
-                    [](std::uint64_t first) { return first; });
+        countAtMost(firstStarts_.data(), firstStarts_.size(), start);
     return after == 0 ? 0 : after - 1;
 }
 

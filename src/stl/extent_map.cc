@@ -6,6 +6,7 @@
 
 #include "telemetry/metrics.h"
 #include "util/logging.h"
+#include "util/search.h"
 
 namespace logseek::stl
 {
@@ -134,15 +135,8 @@ ExtentMap::descend(Lba lba, Lba *window_end) const
         const Inner *inner = static_cast<const Inner *>(node);
         // First child whose separator exceeds lba; keys[0] is
         // conceptual negative infinity, so the search starts at 1.
-        std::uint32_t lo = 1;
-        std::uint32_t hi = inner->n;
-        while (lo < hi) {
-            const std::uint32_t mid = (lo + hi) / 2;
-            if (inner->keys[mid] <= lba)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
+        const std::uint32_t lo =
+            1 + countAtMost(inner->keys + 1, inner->n - 1, lba);
         if (lo < inner->n)
             bound = inner->keys[lo];
         node = inner->children[lo - 1];
@@ -176,33 +170,20 @@ ExtentMap::upperBound(Lba lba) const
     Leaf *leaf = leafForRead(lba);
     if (leaf == nullptr)
         return {};
-    std::uint32_t lo = 0;
-    std::uint32_t hi = leaf->n;
-    while (lo < hi) {
-        const std::uint32_t mid = (lo + hi) / 2;
-        if (leaf->entries[mid].lba <= lba)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    if (lo < leaf->n)
-        return {leaf, lo};
+    const std::uint32_t idx =
+        countAtMost(leaf->entries, leaf->n, lba, &Entry::lba);
+    if (idx < leaf->n)
+        return {leaf, idx};
     return leaf->next != nullptr ? Pos{leaf->next, 0} : Pos{};
 }
 
 std::uint32_t
 ExtentMap::firstAtOrAfter(const Leaf &leaf, Lba lba)
 {
-    std::uint32_t lo = 0;
-    std::uint32_t hi = leaf.n;
-    while (lo < hi) {
-        const std::uint32_t mid = (lo + hi) / 2;
-        if (leaf.entries[mid].lba < lba)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
+    // Entries below lba are those at or below lba - 1; none is below 0.
+    return lba == 0 ? 0
+                    : countAtMost(leaf.entries, leaf.n, lba - 1,
+                                  &Entry::lba);
 }
 
 ExtentMap::Pos

@@ -241,6 +241,43 @@ TEST(ExtentMap, RewriteRestoresContiguity)
     EXPECT_EQ(map.entryCount(), 1u);
 }
 
+TEST(ExtentMap, MapsAndTranslatesAtLbaZero)
+{
+    // No entry lies below LBA 0, the edge of the leaf's lower-bound
+    // search. 100 two-sector entries, none physically adjacent to
+    // the next, fill two leaves past the search's linear range.
+    ExtentMap map;
+    for (Lba lba = 0; lba < 400; lba += 4)
+        map.mapRange(lba, 10000 + 2 * lba, 2);
+    ASSERT_EQ(map.entryCount(), 100u);
+
+    map.mapRange(0, 500, 3);
+    auto segments = xlate(map, 0, 6);
+    ASSERT_EQ(segments.size(), 3u);
+    EXPECT_EQ(segments[0].logical, (SectorExtent{0, 3}));
+    EXPECT_EQ(segments[0].pba, 500u);
+    EXPECT_FALSE(segments[1].mapped);
+    EXPECT_EQ(segments[1].logical, (SectorExtent{3, 1}));
+    EXPECT_EQ(segments[2].logical, (SectorExtent{4, 2}));
+    EXPECT_EQ(segments[2].pba, 10008u);
+    EXPECT_EQ(map.entryCount(), 100u);
+
+    map.mapRange(0, 700, 1);
+    segments = xlate(map, 0, 3);
+    ASSERT_EQ(segments.size(), 2u);
+    EXPECT_EQ(segments[0].pba, 700u);
+    EXPECT_EQ(segments[1].logical, (SectorExtent{1, 2}));
+    EXPECT_EQ(segments[1].pba, 501u);
+    EXPECT_EQ(map.entryCount(), 101u);
+
+    map.mapRange(0, 900, 400);
+    segments = xlate(map, 0, 400);
+    ASSERT_EQ(segments.size(), 1u);
+    EXPECT_EQ(segments[0].pba, 900u);
+    EXPECT_EQ(map.entryCount(), 1u);
+    EXPECT_EQ(map.mappedSectors(), 400u);
+}
+
 TEST(MergePhysicallyContiguous, MergesAdjacentRuns)
 {
     std::vector<Segment> segments{
