@@ -47,6 +47,14 @@ mergeAssign(const Segment *begin, const Segment *end,
     }
 }
 
+/** Out of line and cold, so the replay loop keeps only the compare. */
+[[noreturn, gnu::cold, gnu::noinline]] void
+rejectExtent(const trace::TraceInput &input, std::uint64_t index,
+             const SectorExtent &extent)
+{
+    throw StatusError(badExtentError(input.name(), index, extent));
+}
+
 /** Nanoseconds since `start`, clamped at 0. */
 std::uint64_t
 elapsedNs(std::chrono::steady_clock::time_point start)
@@ -90,6 +98,16 @@ class ReplayEngine::StageTimer
     StageTime *time_;
     std::chrono::steady_clock::time_point start_;
 };
+
+Status
+badExtentError(const std::string &name, std::uint64_t index,
+               const SectorExtent &extent)
+{
+    return invalidArgumentError(
+        "trace '" + name + "': record " + std::to_string(index) +
+        (extent.empty() ? " has an empty extent"
+                        : " sector range overflows the address space"));
+}
 
 ReplayEngine::ReplayEngine(const SimConfig &config,
                            trace::TraceInput &input,
@@ -233,6 +251,10 @@ ReplayEngine::run()
         if (n == 0)
             break;
         for (std::size_t k = 0; k < n; ++k, ++op) {
+            // Catches an empty extent and one that wraps past 2^64.
+            const SectorExtent &extent = batch_.extent(k);
+            if (extent.start + extent.count <= extent.start)
+                rejectExtent(*input_, op, extent);
             event_.reset();
             event_.opIndex = op;
             event_.record = batch_.record(k);

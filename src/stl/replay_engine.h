@@ -35,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "disk/zoned_device.h"
@@ -50,6 +51,11 @@
 
 namespace logseek::stl
 {
+
+/** InvalidArgument naming record `index` of trace `name`, whose
+ *  extent is empty or overflows the address space. */
+Status badExtentError(const std::string &name, std::uint64_t index,
+                      const SectorExtent &extent);
 
 /**
  * Replays one trace under one configuration. The engine owns all

@@ -74,33 +74,10 @@ Simulator::clearObservers()
 Status
 Simulator::validateTrace(const trace::Trace &trace)
 {
-    trace::TraceRef ref(trace);
-    return validateInput(ref);
-}
-
-Status
-Simulator::validateInput(trace::TraceInput &input)
-{
-    input.reset();
-    trace::IoEventBatch batch;
-    std::uint64_t index = 0;
-    for (;;) {
-        const std::size_t n = input.next(batch, 4096);
-        if (n == 0)
-            break;
-        for (std::size_t k = 0; k < n; ++k, ++index) {
-            const SectorExtent &extent = batch.extent(k);
-            if (extent.empty())
-                return invalidArgumentError(
-                    "trace '" + input.name() + "': record " +
-                    std::to_string(index) +
-                    " has an empty extent");
-            if (extent.start + extent.count < extent.start)
-                return invalidArgumentError(
-                    "trace '" + input.name() + "': record " +
-                    std::to_string(index) +
-                    " sector range overflows the address space");
-        }
+    for (std::size_t index = 0; index < trace.size(); ++index) {
+        const SectorExtent &extent = trace[index].extent;
+        if (extent.start + extent.count <= extent.start)
+            return badExtentError(trace.name(), index, extent);
     }
     return Status();
 }
@@ -133,14 +110,11 @@ Simulator::tryRun(const trace::Trace &trace)
 StatusOr<SimResult>
 Simulator::tryRun(trace::TraceInput &input)
 {
-    Status valid = validateInput(input);
-    if (!valid.ok())
-        return valid;
     try {
         return replay(input);
     } catch (const StatusError &e) {
-        // A typed failure from inside the replay loop (such as a
-        // scheduled power loss): pass the Status through intact.
+        // A typed failure from the replay loop (a malformed record,
+        // a scheduled power loss): pass the Status through intact.
         return e.status();
     } catch (const PanicError &e) {
         return internalError("replay of trace '" + input.name() +

@@ -341,34 +341,30 @@ class Simulator
     SimResult run(trace::TraceInput &input);
 
     /**
-     * Typed-error replay entry point: validates the trace up front
-     * (InvalidArgument on a malformed record), then replays it,
-     * converting any escaped FatalError into InvalidArgument and
-     * any PanicError into Internal so one bad trace cannot take
-     * down a batch sweep. A StatusError thrown mid-replay (such as
-     * a scheduled power loss) surfaces with its Status intact; no
-     * partial result is returned.
+     * Typed-error replay entry point. A record whose extent is empty
+     * or overflows ends the replay with InvalidArgument naming it;
+     * an escaped FatalError becomes InvalidArgument and a PanicError
+     * Internal, so one bad trace cannot take down a batch sweep. A
+     * StatusError thrown mid-replay (such as a scheduled power loss)
+     * surfaces with its Status intact. No partial result is returned;
+     * observers have seen the records served before the failure.
      */
     StatusOr<SimResult> tryRun(const trace::Trace &trace);
 
     /**
-     * As tryRun(const Trace &), for any record stream. The
-     * validation pass and the replay each reset the input, so it
-     * is pulled twice end to end; for identical record sequences
-     * the SimResult is byte-identical to the in-RAM overload.
+     * As tryRun(const Trace &), for any record stream. The replay
+     * resets the input and pulls each record once; for identical
+     * record sequences the SimResult is byte-identical to the
+     * in-RAM overload.
      */
     StatusOr<SimResult> tryRun(trace::TraceInput &input);
 
     /**
      * Check that a trace is replayable: every record has a
      * non-empty extent whose sector range does not overflow.
-     * Returns InvalidArgument naming the first offending record.
+     * Returns tryRun's InvalidArgument for the first bad record.
      */
     static Status validateTrace(const trace::Trace &trace);
-
-    /** Streaming validateTrace over one full pass of `input`
-     *  (resets it; leaves the cursor at the end). */
-    static Status validateInput(trace::TraceInput &input);
 
     const SimConfig &config() const { return config_; }
 

@@ -12,11 +12,11 @@
  *  - workloads::WorkloadStream (workloads/stream.h) synthesizes
  *    records chunk by chunk with bounded memory.
  *
- * reset() rewinds to the first record, so one input supports the
- * simulator's validate-then-replay double pass. Inputs are
- * single-cursor and not thread-safe; sharing a workload between
- * concurrent sweep cells goes through TraceSource, an immutable
- * factory whose open() hands each cell its own cursor.
+ * reset() rewinds to the first record, so one input can be replayed
+ * more than once. Inputs are single-cursor and not thread-safe;
+ * sharing a workload between concurrent sweep cells goes through
+ * TraceSource, an immutable factory whose open() hands each cell its
+ * own cursor.
  */
 
 #ifndef LOGSEEK_TRACE_INPUT_H

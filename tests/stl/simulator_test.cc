@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "stl/simulator.h"
+#include "trace/input.h"
 #include "util/logging.h"
 
 namespace logseek::stl
@@ -42,6 +46,91 @@ class Recorder : public SimObserver
 
     std::vector<IoEvent> events;
 };
+
+/** A TraceInput over a record list that counts the records it hands
+ *  out. Unlike a Trace, it accepts a malformed record. */
+class CountingInput final : public trace::TraceInput
+{
+  public:
+    explicit CountingInput(std::vector<trace::IoRecord> records)
+        : records_(std::move(records))
+    {
+        for (const auto &record : records_)
+            end_ = std::max(end_, record.extent.end());
+    }
+
+    const std::string &name() const override { return name_; }
+    Lba addressSpaceEnd() const override { return end_; }
+
+    std::size_t
+    next(trace::IoEventBatch &batch, std::size_t max) override
+    {
+        batch.clear();
+        while (batch.size() < max && pos_ < records_.size())
+            batch.append(records_[pos_++]);
+        pulled += batch.size();
+        return batch.size();
+    }
+
+    void reset() override { pos_ = 0; }
+
+    std::uint64_t pulled = 0;
+
+  private:
+    std::string name_ = "counted";
+    std::vector<trace::IoRecord> records_;
+    std::size_t pos_ = 0;
+    Lba end_ = 0;
+};
+
+/** 1000 alternating writes and reads: four pulls of the engine. */
+std::vector<trace::IoRecord>
+mixedRecords()
+{
+    std::vector<trace::IoRecord> records;
+    for (std::uint64_t i = 0; i < 1000; ++i)
+        records.push_back(trace::IoRecord{
+            i, i % 2 == 0 ? trace::IoType::Write : trace::IoType::Read,
+            SectorExtent{(i * 37) % 4096, 8}});
+    return records;
+}
+
+TEST(Simulator, TryRunPullsEachRecordOnce)
+{
+    CountingInput input(mixedRecords());
+    const StatusOr<SimResult> result =
+        Simulator(lsConfig()).tryRun(input);
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    EXPECT_EQ(result.value().reads + result.value().writes, 1000u);
+    EXPECT_EQ(input.pulled, 1000u);
+}
+
+TEST(Simulator, TryRunNamesTheBadRecordOfAStream)
+{
+    struct Case
+    {
+        SectorExtent extent;
+        const char *message;
+    };
+    for (const Case &bad :
+         {Case{{64, 0}, "trace 'counted': record 700 has an empty extent"},
+          Case{{~0ULL - 4, 100},
+               "trace 'counted': record 700 sector range overflows the "
+               "address space"}}) {
+        std::vector<trace::IoRecord> records = mixedRecords();
+        records[700].extent = bad.extent;
+        CountingInput input(std::move(records));
+        Recorder recorder;
+        Simulator simulator(lsConfig());
+        simulator.addObserver(&recorder);
+        const StatusOr<SimResult> result = simulator.tryRun(input);
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.status().code(), StatusCode::InvalidArgument);
+        EXPECT_EQ(result.status().message(), bad.message);
+        // The records before the bad one were served and observed.
+        EXPECT_EQ(recorder.events.size(), 700u);
+    }
+}
 
 TEST(Simulator, ConventionalCountsTraceOrderSeeks)
 {
