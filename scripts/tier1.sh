@@ -71,9 +71,12 @@
 # seed 7, which has no recorded digests: every pass must still
 # reproduce the digests of its own validation pass, which catches
 # state that depends on anything but the replayed input. Last, one
-# traced hot-reread run (--trace 1) replays the cells with telemetry
-# armed: those passes must reproduce the recorded digests too, and
-# every standalone cross-check of its per-layer ledger must match.
+# traced hot-reread run and one traced write-churn run (--trace 1)
+# replay the cells with telemetry armed: those passes must reproduce
+# the recorded digests too, and every standalone cross-check of their
+# per-layer ledgers must match. write-churn's finite logs clean and
+# one runs on the zoned device, so its cross-checks cover cleaning
+# seeks, merges, victim bytes and the device's counts.
 #
 # Usage:
 #   scripts/tier1.sh            # all three presets
@@ -221,8 +224,11 @@ run_perfbench_smoke() {
             --seconds 1
     done
     echo "==> tier1: perfbench-smoke seed 7 passes reproduce their validation"
-    python3 perfbench/run.py --workload hot-reread --trace 1 --seconds 1
-    echo "==> tier1: perfbench-smoke traced hot-reread matches with telemetry armed"
+    for workload in hot-reread write-churn; do
+        python3 perfbench/run.py --workload "${workload}" --trace 1 \
+            --seconds 1
+    done
+    echo "==> tier1: perfbench-smoke traced runs match with telemetry armed"
 }
 
 for preset in "${PRESETS[@]}"; do
