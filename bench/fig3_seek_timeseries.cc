@@ -60,11 +60,7 @@ main(int argc, char **argv)
                 bins[key.workloadIndex]));
             return obs;
         });
-    auto chained = std::move(options.onTrace);
-    options.onTrace = [&bins, chained](std::size_t w,
-                                       const trace::Trace &trace) {
-        if (chained)
-            chained(w, trace);
+    options.onTrace = [&bins](std::size_t w, const trace::Trace &trace) {
         bins[w] = std::max<std::uint64_t>(1, trace.size() / 60);
     };
     sweep::SweepRunner runner(

@@ -84,11 +84,7 @@ main(int argc, char **argv)
     // buffer so the printed order stays fixed whatever the job count.
     std::vector<std::ostringstream> reports(names.size());
     sweep::SweepOptions options = cli->sweepOptions();
-    auto chained = std::move(options.onTrace);
-    options.onTrace = [&, chained](std::size_t w,
-                                   const trace::Trace &trace) {
-        if (chained)
-            chained(w, trace);
+    options.onTrace = [&](std::size_t w, const trace::Trace &trace) {
         excerptWrites(reports[w], names[w], trace, kWindow);
     };
     sweep::SweepRunner runner(std::move(specs), {},

@@ -38,11 +38,7 @@ main(int argc, char **argv)
 
     std::vector<analysis::MisorderedWriteStats> stats(names.size());
     sweep::SweepOptions options = cli->sweepOptions();
-    auto chained = std::move(options.onTrace);
-    options.onTrace = [&stats, chained](std::size_t w,
-                                        const trace::Trace &trace) {
-        if (chained)
-            chained(w, trace);
+    options.onTrace = [&stats](std::size_t w, const trace::Trace &trace) {
         stats[w] = analysis::countMisorderedWrites(trace);
     };
     sweep::SweepRunner runner(std::move(specs), {},

@@ -41,11 +41,7 @@ main(int argc, char **argv)
     // Trace-only sweep: no configs, just a per-workload stats hook.
     std::vector<trace::TraceStats> stats(infos.size());
     sweep::SweepOptions options = cli->sweepOptions();
-    auto chained = std::move(options.onTrace);
-    options.onTrace = [&stats, chained](std::size_t w,
-                                        const trace::Trace &trace) {
-        if (chained)
-            chained(w, trace);
+    options.onTrace = [&stats](std::size_t w, const trace::Trace &trace) {
         stats[w] = trace::computeStats(trace);
     };
     sweep::SweepRunner runner(std::move(specs), {},

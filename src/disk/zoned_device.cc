@@ -249,8 +249,7 @@ ZonedDevice::writePiece(std::size_t index,
     // how the log layers reuse a reclaimed segment: model it as
     // RESET WRITE POINTER + write, the way a ZBC host would issue
     // it.
-    if (options_.autoResetOnRewind &&
-        zone.type != ZoneType::Conventional &&
+    if (zone.type != ZoneType::Conventional &&
         piece.start == zone.start &&
         zone.writePointer != zone.start &&
         zones_.reset(index).ok())

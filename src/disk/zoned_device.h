@@ -110,13 +110,6 @@ struct ZonedDeviceOptions
     /** Open-zone limit. */
     std::uint32_t maxOpenZones = 8;
 
-    /**
-     * Treat a write landing exactly at the start of a non-empty
-     * sequential zone as RESET + write (how a log layer reuses a
-     * reclaimed segment) instead of a write-pointer violation.
-     */
-    bool autoResetOnRewind = true;
-
     /** Media-fault injection policy. */
     DeviceFaultConfig faults;
 
@@ -275,8 +268,9 @@ class ZonedDevice
 
     /**
      * A media write of `extent`. Enforces each zone's write
-     * policy; rewinds to a zone start become resets (see
-     * autoResetOnRewind), other violations are recovered by
+     * policy: a write landing exactly at the start of a non-empty
+     * sequential zone is a RESET + write (how a log layer reuses a
+     * reclaimed segment), other violations are recovered by
      * realigning the device pointer to the host's — both counted.
      */
     DeviceWriteResult write(const SectorExtent &extent);

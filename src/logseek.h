@@ -37,7 +37,6 @@
 #include "trace/record.h"
 #include "trace/reorder.h"
 #include "trace/stats.h"
-#include "trace/tools.h"
 #include "trace/trace.h"
 #include "util/extent.h"
 #include "util/fault.h"

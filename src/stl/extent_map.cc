@@ -11,14 +11,16 @@
 namespace logseek::stl
 {
 
-ExtentMap::ExtentMap()
-{
-    auto &registry = telemetry::Registry::global();
-    cursorHits_ = &registry.counter("extent_map_cursor_hits_total");
-    nodeSplits_ = &registry.counter("extent_map_node_splits_total");
-}
+ExtentMap::ExtentMap() = default;
 
-ExtentMap::~ExtentMap() = default;
+ExtentMap::~ExtentMap()
+{
+    if (!telemetry::enabled())
+        return;
+    auto &registry = telemetry::Registry::global();
+    registry.counter("extent_map_cursor_hits_total").add(cursorHits_);
+    registry.counter("extent_map_node_splits_total").add(nodeSplits_);
+}
 
 ExtentMap::ExtentMap(ExtentMap &&other) noexcept
     : root_(other.root_), height_(other.height_),
@@ -42,6 +44,8 @@ ExtentMap::ExtentMap(ExtentMap &&other) noexcept
     other.leafFree_ = nullptr;
     other.innerBlockUsed_ = 0;
     other.innerFree_ = nullptr;
+    other.cursorHits_ = 0;
+    other.nodeSplits_ = 0;
 }
 
 ExtentMap &
@@ -156,7 +160,7 @@ ExtentMap::leafForRead(Lba lba) const
     Leaf *c = cursor_;
     if (c != nullptr && c->n > 0 && c->entries[0].lba <= lba &&
         (c->next == nullptr || lba < c->next->entries[0].lba)) {
-        cursorHits_->add();
+        ++cursorHits_;
         return c;
     }
     Leaf *leaf = descend(lba);
@@ -283,7 +287,7 @@ ExtentMap::insertIntoParent(void *left, Lba separator, void *right,
                     sibling;
         }
         parent->n = keep;
-        nodeSplits_->add();
+        ++nodeSplits_;
         insertIntoParent(parent, up_key, sibling,
                          /*children_are_leaves=*/false);
         if (insert_idx > keep) {
@@ -325,7 +329,7 @@ ExtentMap::splitLeaf(Leaf *leaf)
         lastLeaf_ = right;
     leaf->next = right;
 
-    nodeSplits_->add();
+    ++nodeSplits_;
     insertIntoParent(leaf, right->entries[0].lba, right,
                      /*children_are_leaves=*/true);
     return right;

@@ -34,11 +34,6 @@
 
 #include "util/extent.h"
 
-namespace logseek::telemetry
-{
-class Counter;
-}
-
 namespace logseek::stl
 {
 
@@ -341,10 +336,11 @@ class ExtentMap
     std::size_t innerBlockUsed_ = 0;
     Inner *innerFree_ = nullptr;
 
-    /** Resolved once at construction; add() self-gates on the
-     *  process-wide telemetry switch. */
-    telemetry::Counter *cursorHits_;
-    telemetry::Counter *nodeSplits_;
+    /** Reads the cursor resolved and node splits, counted always
+     *  and added to the registry once, when the map is destroyed
+     *  with telemetry on; a move hands them over with the tree. */
+    mutable std::uint64_t cursorHits_ = 0;
+    std::uint64_t nodeSplits_ = 0;
 };
 
 } // namespace logseek::stl

@@ -47,23 +47,20 @@ mergeAssign(const Segment *begin, const Segment *end,
     }
 }
 
-/** Out of line and cold, so the replay loop keeps only the compare. */
+/**
+ * Throw InvalidArgument naming record `index` of `input`, whose
+ * extent is empty or overflows the address space. Out of line and
+ * cold, so the replay loop keeps only the compare.
+ */
 [[noreturn, gnu::cold, gnu::noinline]] void
 rejectExtent(const trace::TraceInput &input, std::uint64_t index,
              const SectorExtent &extent)
 {
-    throw StatusError(badExtentError(input.name(), index, extent));
-}
-
-/** Nanoseconds since `start`, clamped at 0. */
-std::uint64_t
-elapsedNs(std::chrono::steady_clock::time_point start)
-{
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
+    throw StatusError(invalidArgumentError(
+        "trace '" + input.name() + "': record " +
+        std::to_string(index) +
+        (extent.empty() ? " has an empty extent"
+                        : " sector range overflows the address space")));
 }
 
 /** The `stage` label of each read-path step, in Stage order. */
@@ -72,42 +69,35 @@ constexpr std::array<const char *, 4> kStageNames = {
 
 } // namespace
 
-class ReplayEngine::StageTimer
+class ReplayEngine::Timer
 {
   public:
-    StageTimer(ReplayEngine &engine, Stage stage)
-        : time_(engine.timed_ ? &engine.stageTime_[stage] : nullptr)
+    Timer(const ReplayEngine &engine,
+          telemetry::HistogramSnapshot &latency)
+        : latency_(engine.timed_ ? &latency : nullptr)
     {
-        if (time_ != nullptr)
+        if (latency_ != nullptr)
             start_ = std::chrono::steady_clock::now();
     }
 
-    StageTimer(const StageTimer &) = delete;
-    StageTimer &operator=(const StageTimer &) = delete;
+    Timer(const Timer &) = delete;
+    Timer &operator=(const Timer &) = delete;
 
-    ~StageTimer()
+    ~Timer()
     {
-        if (time_ == nullptr)
+        if (latency_ == nullptr)
             return;
-        const std::uint64_t ns = elapsedNs(start_);
-        time_->ns += ns;
-        time_->latency->record(ns);
+        const auto ns =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - start_)
+                .count();
+        latency_->record(ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
     }
 
   private:
-    StageTime *time_;
+    telemetry::HistogramSnapshot *latency_;
     std::chrono::steady_clock::time_point start_;
 };
-
-Status
-badExtentError(const std::string &name, std::uint64_t index,
-               const SectorExtent &extent)
-{
-    return invalidArgumentError(
-        "trace '" + name + "': record " + std::to_string(index) +
-        (extent.empty() ? " has an empty extent"
-                        : " sector range overflows the address space"));
-}
 
 ReplayEngine::ReplayEngine(const SimConfig &config,
                            trace::TraceInput &input,
@@ -206,31 +196,14 @@ ReplayEngine::ReplayEngine(const SimConfig &config,
 
     // The §IV mechanisms; the defrag trigger needs a layer that can
     // relocate.
-    auto &registry = telemetry::Registry::global();
-    const auto stage_latency = [&](Stage stage) {
-        stageTime_[stage].latency = &registry.histogram(
-            "replay_stage_serve_latency_ns",
-            std::string("stage=\"") + kStageNames[stage] + "\"");
-    };
-    if (config_.cache) {
+    if (config_.cache)
         cache_.emplace(*config_.cache);
-        stage_latency(Cache);
-    }
-    if (config_.prefetch) {
+    if (config_.prefetch)
         prefetch_.emplace(*config_.prefetch);
-        stage_latency(Prefetch);
-    }
-    stage_latency(Media);
-    if (config_.defrag && relocate_) {
+    if (config_.defrag && relocate_)
         defrag_.emplace(*config_.defrag);
-        stage_latency(Defrag);
-    }
 
     layerHasMaintenance_ = layer_->hasMaintenance();
-
-    readLatency_ = &registry.histogram("replay_read_latency_ns");
-    translateLatency_ =
-        &registry.histogram("replay_translate_latency_ns");
 }
 
 ReplayEngine::~ReplayEngine() = default;
@@ -296,8 +269,9 @@ ReplayEngine::run()
 void
 ReplayEngine::publishTelemetry() const
 {
-    // Every replay counter is a function of the finished result, so
-    // it is published here once instead of per event.
+    // Every replay counter is a function of the finished result and
+    // every latency sample sits in this run's own histograms, so
+    // both are published here once instead of per event.
     const SimResult &r = result_;
     auto &registry = telemetry::Registry::global();
     registry.counter("replay_requests_total", "type=\"read\"")
@@ -342,21 +316,35 @@ ReplayEngine::publishTelemetry() const
     }
     serves(Media, "fetched", fetched);
 
+    registry.histogram("replay_read_latency_ns").merge(readLatency_);
+    registry.histogram("replay_translate_latency_ns")
+        .merge(translateLatency_);
+    const std::array<bool, StageCount> configured = {
+        cache_.has_value(), prefetch_.has_value(), true,
+        defrag_.has_value()};
+    for (std::size_t i = 0; i < StageCount; ++i)
+        if (configured[i])
+            registry
+                .histogram("replay_stage_serve_latency_ns",
+                           std::string("stage=\"") + kStageNames[i] +
+                               "\"")
+                .merge(stageLatency_[i]);
+
     // One aggregate span per step per replay: per-fragment spans
-    // would swamp the trace (millions of events), so the steps
-    // accumulate their time and it is emitted here as a single
-    // back-dated span ending now.
+    // would swamp the trace (millions of events), so each step's
+    // span lasts the sum of its samples and is emitted here,
+    // back-dated to end now.
     auto *writer = telemetry::globalTraceWriter();
     if (writer == nullptr)
         return;
     const std::uint64_t end = writer->nowUs();
     for (std::size_t i = 0; i < StageCount; ++i) {
-        if (stageTime_[i].latency == nullptr)
+        if (!configured[i])
             continue;
         telemetry::TraceSpan span;
         span.name = std::string("stage:") + kStageNames[i];
         span.category = "replay-stage";
-        span.durationUs = stageTime_[i].ns / 1000;
+        span.durationUs = stageLatency_[i].sum / 1000;
         span.timestampUs =
             end > span.durationUs ? end - span.durationUs : 0;
         span.tid = telemetry::TraceEventWriter::currentTid();
@@ -370,12 +358,10 @@ void
 ReplayEngine::serveRead()
 {
     IoEvent &event = event_;
-    const telemetry::ScopedTimer timer(timed_ ? readLatency_
-                                              : nullptr);
+    const Timer read(*this, readLatency_);
     accounting_.beginRead();
     {
-        const telemetry::ScopedTimer translate(
-            timed_ ? translateLatency_ : nullptr);
+        const Timer translate(*this, translateLatency_);
         layer_->translateReadInto(event.record.extent,
                                   segmentScratch_);
     }
@@ -386,7 +372,7 @@ ReplayEngine::serveRead()
     for (const auto &segment : event.segments)
         serveFragment(segment.physical(), fragmented);
     if (defrag_) {
-        const StageTimer time(*this, Defrag);
+        const Timer time(*this, stageLatency_[Defrag]);
         defragTrigger();
     }
     runMaintenance();
@@ -399,7 +385,7 @@ ReplayEngine::serveFragment(const SectorExtent &physical,
     // Algorithm 3 looks up fragments of fragmented reads only; the
     // fragments of unfragmented reads pass it untouched.
     if (cache_) {
-        const StageTimer time(*this, Cache);
+        const Timer time(*this, stageLatency_[Cache]);
         if (fragmented) {
             if (cache_->lookup(physical)) {
                 accounting_.cacheHit(event_);
@@ -411,7 +397,7 @@ ReplayEngine::serveFragment(const SectorExtent &physical,
     // The drive buffer is looked up for every fragment; only
     // look-ahead-behind fetches fill it.
     if (prefetch_) {
-        const StageTimer time(*this, Prefetch);
+        const Timer time(*this, stageLatency_[Prefetch]);
         if (prefetch_->lookup(physical)) {
             accounting_.prefetchHit(event_);
             return;
@@ -423,7 +409,7 @@ ReplayEngine::serveFragment(const SectorExtent &physical,
                                     ? prefetch_->fetchRegion(physical)
                                     : physical;
     {
-        const StageTimer time(*this, Media);
+        const Timer time(*this, stageLatency_[Media]);
         accounting_.hostAccess(event_, region, trace::IoType::Read);
     }
     // The transfer fills the buffer, then the cache, bottom-up. The

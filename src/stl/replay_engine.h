@@ -52,11 +52,6 @@
 namespace logseek::stl
 {
 
-/** InvalidArgument naming record `index` of trace `name`, whose
- *  extent is empty or overflows the address space. */
-Status badExtentError(const std::string &name, std::uint64_t index,
-                      const SectorExtent &extent);
-
 /**
  * Replays one trace under one configuration. The engine owns all
  * per-run state (layer, mechanisms, head position, result), so an
@@ -92,7 +87,7 @@ class ReplayEngine
     /**
      * Replay the whole trace and return the aggregate result. When
      * telemetry is armed as the run starts, the replay's counters
-     * are published from the finished result once, at the end; a
+     * and latency histograms are published once, at the end; a
      * run that throws publishes nothing.
      */
     SimResult run();
@@ -111,17 +106,9 @@ class ReplayEngine
         StageCount,
     };
 
-    /** One step's telemetry: its serve-latency histogram (null when
-     *  the step is not configured) and its time this run. */
-    struct StageTime
-    {
-        telemetry::LatencyHistogram *latency = nullptr;
-        std::uint64_t ns = 0;
-    };
-
-    /** Charges the time until its scope ends to one step, in timed
-     *  runs only. */
-    class StageTimer;
+    /** Records the time until its scope ends into one of this
+     *  run's latency histograms, in timed runs only. */
+    class Timer;
 
     /** Serve event_'s read. */
     void serveRead();
@@ -142,8 +129,9 @@ class ReplayEngine
      */
     void runMaintenance();
 
-    /** Publish the finished run's counters and one aggregate trace
-     *  span per configured read-path step. */
+    /** Publish the finished run's counters and latency histograms,
+     *  and one aggregate trace span per configured read-path
+     *  step. */
     void publishTelemetry() const;
 
     SimConfig config_;
@@ -175,13 +163,14 @@ class ReplayEngine
     /** telemetry::enabled(), sampled once as run() starts. */
     bool timed_ = false;
 
-    std::array<StageTime, StageCount> stageTime_{};
-
-    /** End-to-end latency of one logical read (telemetry). */
-    telemetry::LatencyHistogram *readLatency_ = nullptr;
-
-    /** Latency of the translate step alone (telemetry). */
-    telemetry::LatencyHistogram *translateLatency_ = nullptr;
+    /** This run's latency samples, kept on the run's own thread
+     *  and merged into the registry once, when the run finishes:
+     *  each logical read end to end, its translate step alone, and
+     *  each read-path step per serve. */
+    telemetry::HistogramSnapshot readLatency_;
+    telemetry::HistogramSnapshot translateLatency_;
+    std::array<telemetry::HistogramSnapshot, StageCount>
+        stageLatency_;
 
     /** Reusable per-request scratch for layer results; clear()
      *  keeps capacity, so steady-state requests do not allocate. */

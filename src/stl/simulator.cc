@@ -71,17 +71,6 @@ Simulator::clearObservers()
     observers_.clear();
 }
 
-Status
-Simulator::validateTrace(const trace::Trace &trace)
-{
-    for (std::size_t index = 0; index < trace.size(); ++index) {
-        const SectorExtent &extent = trace[index].extent;
-        if (extent.start + extent.count <= extent.start)
-            return badExtentError(trace.name(), index, extent);
-    }
-    return Status();
-}
-
 SimResult
 Simulator::run(const trace::Trace &trace)
 {

@@ -359,13 +359,6 @@ class Simulator
      */
     StatusOr<SimResult> tryRun(trace::TraceInput &input);
 
-    /**
-     * Check that a trace is replayable: every record has a
-     * non-empty extent whose sector range does not overflow.
-     * Returns tryRun's InvalidArgument for the first bad record.
-     */
-    static Status validateTrace(const trace::Trace &trace);
-
     const SimConfig &config() const { return config_; }
 
   private:

@@ -9,7 +9,6 @@
 
 #include "analysis/validating_observer.h"
 #include "sweep/report.h"
-#include "trace/convert.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace_writer.h"
@@ -109,27 +108,6 @@ BenchCli::sweepOptions(ObserverFactory extra) const
     options.jobs = resolvedJobs();
     options.observerFactory = observerFactory(std::move(extra));
 
-    // --convert-out exports the first workload's trace once it is
-    // loaded, in the --trace-format (or extension-implied) format.
-    // Benches that install their own onTrace hook must chain this
-    // one (see cli.h); export failures warn rather than poison the
-    // sweep — the replay results are still sound without the side
-    // file.
-    if (!convertOutPath.empty()) {
-        const std::string out = convertOutPath;
-        const trace::TraceFormat format = traceFormat;
-        options.onTrace = [out, format](
-                              std::size_t workload_index,
-                              const trace::Trace &trace) {
-            if (workload_index != 0)
-                return;
-            const Status written =
-                trace::tryWriteTraceFile(out, trace, format);
-            if (!written.ok())
-                warn("--convert-out: " + written.message());
-        };
-    }
-
     // Arm telemetry for the run this options object configures.
     // Observability is strictly opt-in: without these flags the
     // enabled flag stays false and every instrument is a no-op.
@@ -182,8 +160,7 @@ benchUsage(const std::string &name)
            "[--fault-rate R] [--bad-sector-seed N] "
            "[--max-open-zones N] [--error-log-cap N] "
            "[--log-capacity N] [--segment-bytes N] "
-           "[--clean-reserve N] "
-           "[--trace-format F] [--convert-out file] [--help]";
+           "[--clean-reserve N] [--help]";
 }
 
 std::string
@@ -228,14 +205,6 @@ benchHelp(const std::string &name)
         "in bytes [64 KiB, 1 GiB]\n"
         "  --clean-reserve N    finite-log cleaning reserve "
         "override in segments [1, 1024]\n"
-        "  --trace-format F     format of trace files read or "
-        "converted:\n"
-        "                       auto, csv or lskc "
-        "(default auto)\n"
-        "  --convert-out file   export the first workload's trace "
-        "to this path\n"
-        "                       (format from the extension unless "
-        "--trace-format is set)\n"
         "  --help               print this help and exit\n";
 }
 
@@ -248,8 +217,7 @@ benchFlagNames()
             "--fault-rate",    "--bad-sector-seed",
             "--max-open-zones", "--error-log-cap",
             "--log-capacity",  "--segment-bytes",
-            "--clean-reserve", "--trace-format",
-            "--convert-out",   "--help"};
+            "--clean-reserve", "--help"};
 }
 
 StatusOr<BenchCli>
@@ -432,20 +400,6 @@ tryParseBenchCli(int argc, char **argv, double default_scale)
                     *value);
             cli.cleanReserve =
                 static_cast<std::uint32_t>(reserve.value());
-        } else if (matches("--trace-format")) {
-            if (!value)
-                return invalidArgumentError(
-                    "--trace-format requires a value");
-            StatusOr<trace::TraceFormat> format =
-                trace::parseTraceFormat(*value);
-            if (!format.ok())
-                return format.status();
-            cli.traceFormat = format.value();
-        } else if (matches("--convert-out")) {
-            if (!value || value->empty())
-                return invalidArgumentError(
-                    "--convert-out requires a path");
-            cli.convertOutPath = std::move(*value);
         } else if (arg.rfind("--", 0) == 0) {
             return invalidArgumentError("unknown option: " + arg);
         } else if (positional == 0) {

@@ -10,8 +10,7 @@
  *           [--fault-rate R] [--bad-sector-seed N]
  *           [--max-open-zones N] [--error-log-cap N]
  *           [--log-capacity N] [--segment-bytes N]
- *           [--clean-reserve N] [--trace-format F]
- *           [--convert-out file] [--help]
+ *           [--clean-reserve N] [--help]
  *
  * scale/seed feed the synthetic workload profiles; --jobs sets the
  * sweep worker count ("auto" = hardware concurrency; 0 and negative
@@ -37,7 +36,6 @@
 #include <vector>
 
 #include "sweep/sweep_runner.h"
-#include "trace/format.h"
 #include "util/status.h"
 #include "workloads/profiles.h"
 
@@ -103,21 +101,6 @@ struct BenchCli
      *  its own. */
     std::uint32_t cleanReserve = 0;
 
-    /** Declared format of trace files a bench reads or converts
-     *  (--trace-format {auto, csv, lskc}); Auto (the
-     *  default) resolves by magic sniff / extension. Parsed
-     *  strictly — any other spelling is InvalidArgument. */
-    trace::TraceFormat traceFormat = trace::TraceFormat::Auto;
-
-    /** Destination of a trace conversion (--convert-out); empty =
-     *  no conversion requested. sweepOptions() turns this into an
-     *  onTrace hook exporting the first workload's trace; the
-     *  output format follows the path's extension unless
-     *  --trace-format overrides it. Named --convert-out because
-     *  --trace-out is already the Chrome trace_event
-     *  destination. */
-    std::string convertOutPath;
-
     /** --help / -h was given; the caller prints help and exits. */
     bool helpRequested = false;
 
@@ -134,18 +117,6 @@ struct BenchCli
 
     /**
      * SweepOptions reflecting the parsed jobs and observer flags.
-     * With --convert-out it pre-installs an onTrace hook that
-     * exports the first workload's trace in the --trace-format (or
-     * extension-implied) format, so benches that install their
-     * own onTrace hook must chain the existing one:
-     *
-     *   auto chained = std::move(options.onTrace);
-     *   options.onTrace = [chained, ...](std::size_t w,
-     *                                    const trace::Trace &t) {
-     *       if (chained) chained(w, t);
-     *       ...
-     *   };
-     *
      * Also arms the telemetry subsystem (enables collection, installs
      * the process-wide trace writer) when --metrics-out or
      * --trace-out was given; telemetry stays disabled otherwise.

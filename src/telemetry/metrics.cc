@@ -28,22 +28,6 @@ bucketUpperBound(std::size_t i)
     return (std::uint64_t{1} << (i + 1)) - 1;
 }
 
-std::uint64_t
-Counter::value() const
-{
-    std::uint64_t total = 0;
-    for (const CounterCell &cell : cells_)
-        total += cell.value.load(std::memory_order_relaxed);
-    return total;
-}
-
-void
-Counter::reset()
-{
-    for (CounterCell &cell : cells_)
-        cell.value.store(0, std::memory_order_relaxed);
-}
-
 void
 HistogramSnapshot::merge(const HistogramSnapshot &other)
 {
@@ -78,29 +62,36 @@ HistogramSnapshot::percentileUpperBound(double p) const
     return bucketUpperBound(kHistogramBuckets - 1);
 }
 
+void
+LatencyHistogram::merge(const HistogramSnapshot &samples)
+{
+    if (!enabled())
+        return;
+    count_.fetch_add(samples.count, std::memory_order_relaxed);
+    sum_.fetch_add(samples.sum, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < kHistogramBuckets; ++i)
+        buckets_[i].fetch_add(samples.buckets[i],
+                              std::memory_order_relaxed);
+}
+
 HistogramSnapshot
 LatencyHistogram::snapshot() const
 {
     HistogramSnapshot out;
-    for (const Shard &shard : shards_) {
-        out.count += shard.count.load(std::memory_order_relaxed);
-        out.sum += shard.sum.load(std::memory_order_relaxed);
-        for (std::size_t i = 0; i < kHistogramBuckets; ++i)
-            out.buckets[i] +=
-                shard.buckets[i].load(std::memory_order_relaxed);
-    }
+    out.count = count_.load(std::memory_order_relaxed);
+    out.sum = sum_.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < kHistogramBuckets; ++i)
+        out.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
     return out;
 }
 
 void
 LatencyHistogram::reset()
 {
-    for (Shard &shard : shards_) {
-        shard.count.store(0, std::memory_order_relaxed);
-        shard.sum.store(0, std::memory_order_relaxed);
-        for (auto &bucket : shard.buckets)
-            bucket.store(0, std::memory_order_relaxed);
-    }
+    count_.store(0, std::memory_order_relaxed);
+    sum_.store(0, std::memory_order_relaxed);
+    for (auto &bucket : buckets_)
+        bucket.store(0, std::memory_order_relaxed);
 }
 
 const CounterSnapshot *

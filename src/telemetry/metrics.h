@@ -4,17 +4,17 @@
  * histograms behind a named Registry.
  *
  * Hot-path instrumentation must cost nothing when observability is
- * off and must not serialize the sweep's worker threads when it is
- * on. Both properties come from the same two decisions: a single
- * process-wide enabled flag checked with one relaxed atomic load
- * before any work happens, and per-thread sharded cells — every
- * thread increments its own cache-line-padded cell, and the shards
- * are only summed when a snapshot is taken. Metric handles returned
- * by the registry are stable for the life of the process, so
- * per-run objects (replay engines, task pools) resolve their handles
- * once at construction and pay only the enabled-check plus one
- * relaxed fetch_add per event afterwards. The replay engine's
- * counters are published once per run, from its finished result.
+ * off, and the per-record kind costs no atomic even when it is on.
+ * A single process-wide enabled flag, checked with one relaxed
+ * atomic load, gates every update. Every registry metric is one
+ * relaxed atomic cell per value (a histogram has one per bucket),
+ * because only low-rate events reach it directly: a GC victim, a
+ * task, a mount, a file open. An instrument that fires per record
+ * lives on one thread with its owner (a replay engine, an extent
+ * map), counts in plain integers or a HistogramSnapshot there, and
+ * adds the total into the registry once, when its run finishes or
+ * its map is destroyed. Metric handles returned by the registry are
+ * stable for the life of the process.
  */
 
 #ifndef LOGSEEK_TELEMETRY_METRICS_H
@@ -47,25 +47,8 @@ enabled()
 /** Arm or disarm telemetry collection process-wide. */
 void setEnabled(bool on);
 
-/** Sharding width of counters and histograms (power of two). */
-constexpr std::size_t kShardCount = 16;
-
 /** Log-bucketed histogram resolution: one bucket per power of two. */
 constexpr std::size_t kHistogramBuckets = 64;
-
-/**
- * The shard of the calling thread: threads are dealt shards
- * round-robin on first use, so up to kShardCount concurrent
- * threads never share a cell.
- */
-inline std::size_t
-shardIndex()
-{
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t mine =
-        next.fetch_add(1, std::memory_order_relaxed) % kShardCount;
-    return mine;
-}
 
 /**
  * Bucket of a sample: bucket 0 holds {0, 1}, bucket i holds
@@ -89,17 +72,9 @@ std::uint64_t bucketLowerBound(std::size_t i);
 /** Inclusive upper edge of bucket i (UINT64_MAX for the last). */
 std::uint64_t bucketUpperBound(std::size_t i);
 
-/** One cache line per shard so increments never false-share. */
-struct alignas(64) CounterCell
-{
-    std::atomic<std::uint64_t> value{0};
-};
-
 /**
- * Monotonically increasing counter. add() is wait-free on the
- * calling thread's shard and a no-op while telemetry is disabled;
- * value() sums the shards (approximate under concurrent writers,
- * exact once they quiesce).
+ * Monotonically increasing counter: one atomic cell. add() is
+ * wait-free and a no-op while telemetry is disabled.
  */
 class Counter
 {
@@ -113,17 +88,20 @@ class Counter
     {
         if (!enabled())
             return;
-        cells_[shardIndex()].value.fetch_add(
-            n, std::memory_order_relaxed);
+        value_.fetch_add(n, std::memory_order_relaxed);
     }
 
-    std::uint64_t value() const;
+    std::uint64_t
+    value() const
+    {
+        return value_.load(std::memory_order_relaxed);
+    }
 
-    /** Zero every shard (tests and bench legs only). */
-    void reset();
+    /** Zero the count (tests and bench legs only). */
+    void reset() { value_.store(0, std::memory_order_relaxed); }
 
   private:
-    std::array<CounterCell, kShardCount> cells_;
+    std::atomic<std::uint64_t> value_{0};
 };
 
 /**
@@ -169,7 +147,7 @@ class Gauge
 /**
  * The aggregated, mergeable value of one histogram. Merging adds
  * counts bucket-wise, so it is commutative and associative — two
- * snapshots taken on different machines (or sweep shards) combine
+ * snapshots taken on different machines (or sweep cells) combine
  * into the same distribution whatever the merge order.
  */
 struct HistogramSnapshot
@@ -184,6 +162,15 @@ struct HistogramSnapshot
     std::uint64_t sum = 0;
 
     std::array<std::uint64_t, kHistogramBuckets> buckets{};
+
+    /** Add one sample: plain adds, for a histogram one thread owns. */
+    void
+    record(std::uint64_t value)
+    {
+        ++count;
+        sum += value;
+        ++buckets[bucketIndex(value)];
+    }
 
     /** Add another snapshot's population into this one. */
     void merge(const HistogramSnapshot &other);
@@ -207,7 +194,8 @@ struct HistogramSnapshot
 
 /**
  * Log-bucketed histogram of unsigned samples (latencies in ns by
- * convention). record() touches only the calling thread's shard.
+ * convention): one count, one sum and one atomic cell per bucket.
+ * record() and merge() are no-ops while telemetry is disabled.
  */
 class LatencyHistogram
 {
@@ -221,29 +209,26 @@ class LatencyHistogram
     {
         if (!enabled())
             return;
-        Shard &shard = shards_[shardIndex()];
-        shard.count.fetch_add(1, std::memory_order_relaxed);
-        shard.sum.fetch_add(value, std::memory_order_relaxed);
-        shard.buckets[bucketIndex(value)].fetch_add(
+        count_.fetch_add(1, std::memory_order_relaxed);
+        sum_.fetch_add(value, std::memory_order_relaxed);
+        buckets_[bucketIndex(value)].fetch_add(
             1, std::memory_order_relaxed);
     }
 
-    /** Aggregate the shards (name/labels left empty; the registry
-     *  fills them in). */
+    /** Add a population recorded elsewhere, e.g. one run's. */
+    void merge(const HistogramSnapshot &samples);
+
+    /** The current population (name/labels left empty; the
+     *  registry fills them in). */
     HistogramSnapshot snapshot() const;
 
     void reset();
 
   private:
-    struct alignas(64) Shard
-    {
-        std::atomic<std::uint64_t> count{0};
-        std::atomic<std::uint64_t> sum{0};
-        std::array<std::atomic<std::uint64_t>, kHistogramBuckets>
-            buckets{};
-    };
-
-    std::array<Shard, kShardCount> shards_;
+    std::atomic<std::uint64_t> count_{0};
+    std::atomic<std::uint64_t> sum_{0};
+    std::array<std::atomic<std::uint64_t>, kHistogramBuckets>
+        buckets_{};
 };
 
 /**

@@ -5,8 +5,8 @@
  * tryLoadTraceFile reads any supported trace file (MSR CSV or LSKC)
  * into an in-RAM Trace; tryConvertTraceFile rewrites a trace
  * file from one format to another — the tools-level entry point
- * behind bench/trace_convert and the --trace-format/--convert-out
- * CLI flags. Conversion is deterministic: converting the same
+ * behind bench/trace_convert and examples/make_trace. Conversion
+ * is deterministic: converting the same
  * input twice produces byte-identical output (the ingest smoke
  * pins this for LSKC).
  */

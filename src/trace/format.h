@@ -6,7 +6,7 @@
  * and the columnar binary LSKC (trace/lskc.h). TraceFormat names
  * them; Auto resolves by magic sniff for existing files and by
  * extension for files about to be written. parseTraceFormat is the
- * strict CLI-facing parser behind --trace-format.
+ * strict parser behind trace_convert's --trace-format.
  */
 
 #ifndef LOGSEEK_TRACE_FORMAT_H

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "stl/extent_map.h"
 #include "stl/translation_layer.h"
+#include "telemetry/metrics.h"
 #include "util/logging.h"
 
 namespace logseek::stl
@@ -276,6 +278,63 @@ TEST(ExtentMap, MapsAndTranslatesAtLbaZero)
     EXPECT_EQ(segments[0].pba, 900u);
     EXPECT_EQ(map.entryCount(), 1u);
     EXPECT_EQ(map.mappedSectors(), 400u);
+}
+
+/** Splits leaves with 512 gapped entries, then reads them back in
+ *  order, so most reads resolve on the cursor. */
+void
+splitAndReread(ExtentMap &map)
+{
+    for (Lba lba = 0; lba < 4096; lba += 8)
+        map.mapRange(lba, 100000 + lba, 4);
+    for (Lba lba = 0; lba < 4096; lba += 8)
+        (void)xlate(map, lba, 4);
+}
+
+/** The extent-map counters' (cursor hits, node splits) values. */
+std::pair<std::uint64_t, std::uint64_t>
+publishedMapCounts()
+{
+    const telemetry::MetricsSnapshot snap =
+        telemetry::Registry::global().snapshot();
+    const auto value = [&](const char *name) -> std::uint64_t {
+        const telemetry::CounterSnapshot *c = snap.findCounter(name);
+        return c != nullptr ? c->value : 0;
+    };
+    return {value("extent_map_cursor_hits_total"),
+            value("extent_map_node_splits_total")};
+}
+
+TEST(ExtentMap, MovedMapsPublishTheirCountsOnce)
+{
+    auto &registry = telemetry::Registry::global();
+    registry.resetValues();
+    telemetry::setEnabled(true);
+    {
+        ExtentMap alone;
+        splitAndReread(alone);
+    }
+    const auto once = publishedMapCounts();
+    EXPECT_GT(once.first, 0u);
+    EXPECT_GT(once.second, 0u);
+
+    // Move-construct, then move-assign over a map with counts of
+    // its own: the swap hands those to the moved-from map, and
+    // every count is published once, whichever map ends up
+    // holding it.
+    registry.resetValues();
+    {
+        ExtentMap source;
+        splitAndReread(source);
+        ExtentMap moved(std::move(source));
+        ExtentMap target;
+        splitAndReread(target);
+        target = std::move(moved);
+    }
+    const auto twice = publishedMapCounts();
+    telemetry::setEnabled(false);
+    EXPECT_EQ(twice.first, 2 * once.first);
+    EXPECT_EQ(twice.second, 2 * once.second);
 }
 
 TEST(MergePhysicallyContiguous, MergesAdjacentRuns)

@@ -1,14 +1,21 @@
 /**
  * @file
  * Cross-checks replay telemetry against SimResult: the counters
- * the replay engine publishes must agree with the simulator's own
- * tallies when telemetry is armed, stay at zero when it is not,
- * and never perturb the simulation itself.
+ * and latency histograms the replay engine publishes must agree
+ * with the simulator's own tallies when telemetry is armed, also
+ * summed over concurrent replays, stay at zero when it is not or
+ * when the run fails, and never perturb the simulation itself.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "counting_input.h"
 #include "stl/simulator.h"
+#include "sweep/sweep_runner.h"
 #include "telemetry/metrics.h"
 #include "util/random.h"
 
@@ -218,13 +225,13 @@ TEST(ReplayTelemetry, CleaningSeekCounterMatchesSimResult)
  * the drive buffer look-ahead-behind hits.
  */
 trace::Trace
-fragmentingTrace()
+fragmentingTrace(std::uint64_t seed = 42)
 {
     trace::Trace trace("frag");
     constexpr Lba kSpan = 8192;
     for (Lba lba = 0; lba < kSpan; lba += 64)
         trace.appendWrite(lba, 64);
-    Rng rng(42);
+    Rng rng(seed);
     for (int i = 0; i < 4000; ++i) {
         if (rng.nextUint(3) == 0)
             trace.appendWrite(rng.nextUint(kSpan - 8),
@@ -382,6 +389,116 @@ TEST(ReplayTelemetry, DefragTriggerIsTimedOncePerRead)
     EXPECT_EQ(stageSamples(telemetry::Registry::global().snapshot(),
                            "defrag"),
               0u);
+}
+
+/** LS with all three read-path mechanisms: every stage is timed. */
+SimConfig
+lsAllConfig()
+{
+    SimConfig config = lsConfig();
+    config.cache = SelectiveCacheConfig{};
+    config.prefetch = PrefetchConfig{};
+    config.defrag = DefragConfig{};
+    return config;
+}
+
+TEST(ReplayTelemetry, FailedRunPublishesNoLatency)
+{
+    const EnabledGuard armed;
+    // Thousands of reads are served, and timed, before record k
+    // turns out to be empty.
+    const trace::Trace served = fragmentingTrace();
+    std::vector<trace::IoRecord> records(served.begin(), served.end());
+    const std::size_t k = records.size();
+    records.push_back({0, trace::IoType::Read, {64, 0}});
+    records.push_back({0, trace::IoType::Read, {0, 64}});
+    CountingInput input(std::move(records));
+
+    const StatusOr<SimResult> result =
+        Simulator(lsAllConfig()).tryRun(input);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(result.status().message().find(
+                  "record " + std::to_string(k) + " has an empty"),
+              std::string::npos)
+        << result.status().message();
+
+    // Like the counters, the latency samples of a run that throws
+    // are never published.
+    const telemetry::MetricsSnapshot snap =
+        telemetry::Registry::global().snapshot();
+    for (const telemetry::HistogramSnapshot &histogram :
+         snap.histograms) {
+        if (histogram.name.starts_with("replay_") &&
+            histogram.name.ends_with("latency_ns")) {
+            EXPECT_EQ(histogram.count, 0u)
+                << histogram.name << "{" << histogram.labels << "}";
+        }
+    }
+    EXPECT_EQ(counterValue(snap, "replay_requests_total",
+                           "type=\"read\""),
+              0u);
+}
+
+TEST(ReplayTelemetry, ConcurrentReplaysMergeExactly)
+{
+    const EnabledGuard armed;
+    // Eight LS+all cells on four workers: each replay records into
+    // its own histograms and merges them as it finishes, so the
+    // registry must hold exactly the sum of the cells' samples.
+    std::vector<sweep::WorkloadSpec> specs;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        sweep::WorkloadSpec spec;
+        spec.name = "frag" + std::to_string(seed);
+        spec.load = [seed] { return fragmentingTrace(seed); };
+        specs.push_back(std::move(spec));
+    }
+    sweep::SweepOptions options;
+    options.jobs = 4;
+    const sweep::SweepResult sweep =
+        sweep::SweepRunner(
+            std::move(specs),
+            {sweep::ConfigSpec::fixed("LS+all", lsAllConfig())},
+            std::move(options))
+            .run();
+
+    // Per cell, as StageSeriesMatchSimResult states it for one run:
+    // one read and one translate sample per read, one defrag
+    // sample per read, one cache sample per fragment, one buffer
+    // sample per fragment the cache did not serve, and one media
+    // sample per fragment neither served.
+    std::uint64_t reads = 0;
+    std::uint64_t cache = 0;
+    std::uint64_t prefetch = 0;
+    std::uint64_t media = 0;
+    ASSERT_EQ(sweep.rows.size(), 8u);
+    for (const sweep::RunRow &row : sweep.rows) {
+        ASSERT_TRUE(row.status.ok()) << row.status.toString();
+        const SimResult &r = row.result;
+        const std::uint64_t fragments =
+            r.readFragments + r.reads - r.fragmentedReads;
+        reads += r.reads;
+        cache += fragments;
+        prefetch += fragments - r.cacheHits;
+        media += fragments - r.cacheHits - r.prefetchHits;
+    }
+
+    const telemetry::MetricsSnapshot snap =
+        telemetry::Registry::global().snapshot();
+    for (const char *name :
+         {"replay_read_latency_ns", "replay_translate_latency_ns"}) {
+        const telemetry::HistogramSnapshot *latency =
+            snap.findHistogram(name);
+        ASSERT_NE(latency, nullptr) << name;
+        EXPECT_EQ(latency->count, reads) << name;
+    }
+    EXPECT_EQ(stageSamples(snap, "selective-cache"), cache);
+    EXPECT_EQ(stageSamples(snap, "prefetch"), prefetch);
+    EXPECT_EQ(stageSamples(snap, "media"), media);
+    EXPECT_EQ(stageSamples(snap, "defrag"), reads);
+    EXPECT_EQ(counterValue(snap, "replay_requests_total",
+                           "type=\"read\""),
+              reads);
 }
 
 TEST(ReplayTelemetry, RepeatedReplaysAccumulateCounters)

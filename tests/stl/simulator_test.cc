@@ -5,11 +5,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "counting_input.h"
 #include "stl/simulator.h"
 #include "trace/input.h"
 #include "util/logging.h"
@@ -45,42 +45,6 @@ class Recorder : public SimObserver
     }
 
     std::vector<IoEvent> events;
-};
-
-/** A TraceInput over a record list that counts the records it hands
- *  out. Unlike a Trace, it accepts a malformed record. */
-class CountingInput final : public trace::TraceInput
-{
-  public:
-    explicit CountingInput(std::vector<trace::IoRecord> records)
-        : records_(std::move(records))
-    {
-        for (const auto &record : records_)
-            end_ = std::max(end_, record.extent.end());
-    }
-
-    const std::string &name() const override { return name_; }
-    Lba addressSpaceEnd() const override { return end_; }
-
-    std::size_t
-    next(trace::IoEventBatch &batch, std::size_t max) override
-    {
-        batch.clear();
-        while (batch.size() < max && pos_ < records_.size())
-            batch.append(records_[pos_++]);
-        pulled += batch.size();
-        return batch.size();
-    }
-
-    void reset() override { pos_ = 0; }
-
-    std::uint64_t pulled = 0;
-
-  private:
-    std::string name_ = "counted";
-    std::vector<trace::IoRecord> records_;
-    std::size_t pos_ = 0;
-    Lba end_ = 0;
 };
 
 /** 1000 alternating writes and reads: four pulls of the engine. */

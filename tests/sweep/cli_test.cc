@@ -4,7 +4,7 @@
  * --jobs, --json/--csv destinations, --paranoid, the
  * observability flags (--metrics-out/--trace-out/--help), and
  * strict rejection of malformed numbers and unknown arguments
- * (including the retired fault-tolerance flags).
+ * (including the retired fault-tolerance and trace-export flags).
  * The help-sync test pins benchHelp()/benchUsage() to
  * benchFlagNames() so the documented surface cannot drift from
  * what the parser accepts.
@@ -12,19 +12,14 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/validating_observer.h"
 #include "sweep/cli.h"
-#include "trace/lskc.h"
-#include "trace/msr_csv.h"
 
 namespace logseek::sweep
 {
@@ -109,15 +104,17 @@ TEST(BenchCliTest, JobsRejectsZeroNegativeAndGarbage)
               std::string::npos);
 }
 
-TEST(BenchCliTest, RejectsRetiredFaultToleranceFlags)
+TEST(BenchCliTest, RejectsRetiredFlags)
 {
     // Each sweep cell runs once, so there is no per-cell deadline,
-    // retry or checkpoint/resume to configure: both spellings of
-    // each of those flags are rejected as unknown options, and the
-    // help does not mention them.
+    // retry or checkpoint/resume to configure, and trace files are
+    // converted by trace_convert and exported by make_trace, not by
+    // the benches: both spellings of each of those flags are
+    // rejected as unknown options, and the help does not mention
+    // them.
     const std::string help = benchHelp("bench");
-    for (const char *name :
-         {"deadline-ms", "retries", "checkpoint", "resume"}) {
+    for (const char *name : {"deadline-ms", "retries", "checkpoint",
+                             "resume", "trace-format", "convert-out"}) {
         const std::string flag = std::string("--") + name;
         const std::string joined = flag + "=1";
         for (const StatusOr<BenchCli> &cli :
@@ -288,101 +285,6 @@ TEST(BenchCliTest, ObservabilityFlagsRequirePaths)
     EXPECT_FALSE(tryParse({"--metrics-out="}).ok());
     EXPECT_FALSE(tryParse({"--trace-out"}).ok());
     EXPECT_FALSE(tryParse({"--trace-out="}).ok());
-}
-
-TEST(BenchCliTest, TraceFormatFlag)
-{
-    const auto cli = parse({"--trace-format", "lskc"});
-    ASSERT_TRUE(cli.has_value());
-    EXPECT_EQ(cli->traceFormat, trace::TraceFormat::Lskc);
-
-    const auto eq = parse({"--trace-format=csv"});
-    ASSERT_TRUE(eq.has_value());
-    EXPECT_EQ(eq->traceFormat, trace::TraceFormat::Csv);
-
-    const auto off = parse({});
-    ASSERT_TRUE(off.has_value());
-    EXPECT_EQ(off->traceFormat, trace::TraceFormat::Auto);
-}
-
-TEST(BenchCliTest, TraceFormatRejectsUnknownValues)
-{
-    // The parser is strict: exact lower-case names only, and the
-    // error names the offending value.
-    for (const char *bad : {"CSV", "binary", "lsk", "lskt", ""}) {
-        const auto cli = tryParse({"--trace-format", bad});
-        ASSERT_FALSE(cli.ok()) << "'" << bad << "'";
-        EXPECT_EQ(cli.status().code(), StatusCode::InvalidArgument)
-            << "'" << bad << "'";
-        EXPECT_NE(cli.status().message().find("auto, csv or lskc"),
-                  std::string::npos)
-            << cli.status().message();
-    }
-    EXPECT_FALSE(tryParse({"--trace-format"}).ok());
-}
-
-TEST(BenchCliTest, ConvertOutFlag)
-{
-    const auto cli = parse({"--convert-out", "/tmp/out.lskc"});
-    ASSERT_TRUE(cli.has_value());
-    EXPECT_EQ(cli->convertOutPath, "/tmp/out.lskc");
-
-    const auto eq = parse({"--convert-out=o.lskc"});
-    ASSERT_TRUE(eq.has_value());
-    EXPECT_EQ(eq->convertOutPath, "o.lskc");
-
-    const auto off = parse({});
-    ASSERT_TRUE(off.has_value());
-    EXPECT_TRUE(off->convertOutPath.empty());
-
-    EXPECT_FALSE(tryParse({"--convert-out"}).ok());
-    EXPECT_FALSE(tryParse({"--convert-out="}).ok());
-}
-
-TEST(BenchCliTest, ConvertOutInstallsExportHook)
-{
-    const std::string out = "/tmp/logseek_cli_convert_" +
-                            std::to_string(::getpid()) + ".lskc";
-    const auto cli = parse({"--convert-out", out.c_str()});
-    ASSERT_TRUE(cli.has_value());
-    SweepOptions options = cli->sweepOptions();
-    ASSERT_TRUE(static_cast<bool>(options.onTrace));
-
-    trace::Trace sample("hook");
-    sample.appendRead(100, 8, 0);
-    sample.appendWrite(5000, 64, 1234);
-
-    // Only the first workload is exported.
-    options.onTrace(1, sample);
-    EXPECT_FALSE(trace::tryReadLskcFile(out).ok());
-    options.onTrace(0, sample);
-    StatusOr<trace::Trace> back = trace::tryReadLskcFile(out);
-    ASSERT_TRUE(back.ok()) << back.status().message();
-    ASSERT_EQ(back.value().size(), sample.size());
-    for (std::size_t i = 0; i < sample.size(); ++i)
-        EXPECT_EQ(back.value()[i], sample[i]) << i;
-    std::remove(out.c_str());
-
-    // --trace-format overrides the extension: the same path now
-    // receives CSV bytes.
-    const auto forced =
-        parse({"--convert-out", out.c_str(), "--trace-format",
-               "csv"});
-    ASSERT_TRUE(forced.has_value());
-    SweepOptions forced_options = forced->sweepOptions();
-    ASSERT_TRUE(static_cast<bool>(forced_options.onTrace));
-    forced_options.onTrace(0, sample);
-    EXPECT_FALSE(trace::tryReadLskcFile(out).ok());
-    StatusOr<trace::MsrParseResult> csv =
-        trace::tryParseMsrCsvFile(out, "hook");
-    ASSERT_TRUE(csv.ok()) << csv.status().message();
-    EXPECT_EQ(csv.value().trace.size(), sample.size());
-    std::remove(out.c_str());
-
-    // Without --convert-out no hook is installed.
-    const auto off = parse({});
-    ASSERT_TRUE(off.has_value());
-    EXPECT_FALSE(static_cast<bool>(off->sweepOptions().onTrace));
 }
 
 TEST(BenchCliTest, HelpRequestShortCircuitsParsing)

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the telemetry metrics core: log-bucket boundary math,
- * histogram merge algebra (commutative and associative), counter
- * and gauge behavior under the global enabled flag, ScopedTimer,
- * and the registry's stable handles and snapshots.
+ * histogram merge algebra (commutative and associative), a
+ * snapshot recorded on one thread and merged into a histogram,
+ * counter and gauge behavior under the global enabled flag,
+ * ScopedTimer, and the registry's stable handles and snapshots.
  */
 
 #include <gtest/gtest.h>
@@ -122,6 +123,37 @@ TEST(TelemetryMetricsTest, MergedSnapshotMatchesCombinedRecording)
     HistogramSnapshot merged = separate_a.snapshot();
     merged.merge(separate_b.snapshot());
     EXPECT_EQ(merged, combined.snapshot());
+}
+
+TEST(TelemetryMetricsTest, RecordedSnapshotMergesLikeDirectRecording)
+{
+    // A run records into its own snapshot and merges it once; the
+    // histogram must end up as if every sample had been recorded
+    // into it directly, on top of what it already held.
+    std::vector<std::uint64_t> samples = {0, 1, 2, 3,
+                                          std::uint64_t{1} << 63};
+    Rng rng(20261018);
+    for (int i = 0; i < 1000; ++i)
+        samples.push_back(rng.nextUint(1u << 30));
+
+    HistogramSnapshot local;
+    for (const std::uint64_t sample : samples)
+        local.record(sample);
+    EXPECT_EQ(local, snapshotOf(samples));
+
+    LatencyHistogram merged;
+    merged.merge(local); // disabled: a no-op
+    EXPECT_EQ(merged.snapshot().count, 0u);
+
+    const EnabledGuard armed;
+    LatencyHistogram direct;
+    merged.record(77);
+    direct.record(77);
+    merged.merge(local);
+    for (const std::uint64_t sample : samples)
+        direct.record(sample);
+    EXPECT_EQ(merged.snapshot(), direct.snapshot());
+    EXPECT_EQ(merged.snapshot().count, samples.size() + 1);
 }
 
 TEST(TelemetryMetricsTest, CounterIsNoOpWhileDisabled)
