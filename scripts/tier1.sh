@@ -9,7 +9,7 @@
 #            (TaskPool*/SweepRunner*/Telemetry*/IngestReplay* and
 #            the rest of the preset's filter — the sweep runner,
 #            its single-queue task pool, the zoned-device and
-#            crash-recovery grids and the sharded telemetry metrics)
+#            crash-recovery grids and the telemetry registry)
 #
 # The extra mode `bench-smoke` builds the default preset's
 # perf_extent_map / perf_simulator benchmarks and runs them at

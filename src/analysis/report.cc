@@ -123,16 +123,4 @@ printResult(std::ostream &out, const stl::SimResult &result)
     table.print(out);
 }
 
-void
-printSeries(std::ostream &out, const std::string &title,
-            const std::string &x_label, const std::string &y_label,
-            const std::vector<std::pair<double, double>> &points)
-{
-    out << "# " << title << "\n";
-    out << "# " << x_label << "\t" << y_label << "\n";
-    for (const auto &[x, y] : points)
-        out << formatDouble(x, 4) << "\t" << formatDouble(y, 6)
-            << "\n";
-}
-
 } // namespace logseek::analysis

@@ -52,15 +52,6 @@ std::string formatRatio(std::optional<double> value,
 std::string formatBytes(std::uint64_t bytes);
 
 /**
- * Print an (x, y) series as two aligned columns with a title line,
- * the plot-ready form used for figure output.
- */
-void printSeries(std::ostream &out, const std::string &title,
-                 const std::string &x_label,
-                 const std::string &y_label,
-                 const std::vector<std::pair<double, double>> &points);
-
-/**
  * Dump one simulation result as a labeled two-column table —
  * the quick way to inspect a run from examples and tools.
  */

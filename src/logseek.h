@@ -17,7 +17,6 @@
 #include "disk/head.h"
 #include "disk/pba_cache.h"
 #include "disk/seek_time.h"
-#include "stl/accounting.h"
 #include "stl/conventional.h"
 #include "stl/defrag.h"
 #include "stl/extent_map.h"

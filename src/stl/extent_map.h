@@ -101,6 +101,13 @@ class SegmentBuffer
     /** The segments as a vector (e.g. to copy into an IoEvent). */
     const std::vector<Segment> &segments() const { return segments_; }
 
+    /**
+     * Exchange the segments with `other`'s. Both keep their
+     * capacity, so a buffer and a vector that trade places on every
+     * request stop allocating once both are warm.
+     */
+    void swap(std::vector<Segment> &other) { segments_.swap(other); }
+
     /** Move the segments out (the buffer is left empty). */
     std::vector<Segment>
     take() &&

@@ -113,20 +113,13 @@ class FiniteLogStructuredLayer : public TranslationLayer
      */
     std::vector<MediaAccess> maintenance() override;
 
-    /** Defragmentation support: rewrite a range at the frontier. */
-    std::vector<Segment>
-    relocate(const SectorExtent &extent)
-    {
-        SegmentBuffer buffer;
-        relocateInto(extent, buffer);
-        return {buffer.begin(), buffer.end()};
-    }
-
     /**
-     * Allocation-free relocate for the replay hot path. Relocations
-     * move already-written (hence presumed cold) data, so they go
-     * to the coldest stream and bypass the router's interval
-     * inference — a defrag rewrite is not evidence the data is hot.
+     * Defragmentation support: rewrite a range contiguously,
+     * clearing `out` and filling it with the placed segments.
+     * Relocations move already-written (hence presumed cold) data,
+     * so they go to the coldest stream and bypass the router's
+     * interval inference — a defrag rewrite is not evidence the
+     * data is hot.
      */
     void relocateInto(const SectorExtent &extent, SegmentBuffer &out);
 

@@ -17,7 +17,7 @@
  * Everything is a deterministic function of the write sequence — a
  * logical clock ticks once per routed write, intervals are measured
  * in ticks, and the decayed estimates use integer EWMA arithmetic —
- * so replays are byte-identical across jobs, shards and resumes.
+ * so a replay is byte-identical whatever the sweep's job count.
  *
  * The buckets live in a paged flat table: bucket b is slot
  * b % kPageBuckets of page b / kPageBuckets, and a page is allocated

@@ -112,24 +112,6 @@ class LogStructuredLayer : public TranslationLayer
     MountStats
     mountFromJournal(const SegmentJournal &journal) override;
 
-    /**
-     * Rewrite a logical range contiguously at the write frontier
-     * without new host data — the write half of opportunistic
-     * defragmentation. Equivalent to placeWrite.
-     */
-    std::vector<Segment>
-    relocate(const SectorExtent &extent)
-    {
-        return placeWrite(extent);
-    }
-
-    /** Allocation-free relocate for the replay hot path. */
-    void
-    relocateInto(const SectorExtent &extent, SegmentBuffer &out)
-    {
-        placeWriteInto(extent, out);
-    }
-
     /** Physical sector the next write will start at. */
     Pba writeFrontier() const { return frontier_.pos(); }
 

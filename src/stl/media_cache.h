@@ -97,9 +97,6 @@ class MediaCacheLayer : public TranslationLayer
     /** Sectors currently dirty in the media cache. */
     SectorCount cacheUsedSectors() const { return cacheUsed_; }
 
-    /** Capacity of the media cache in sectors. */
-    SectorCount cacheCapacitySectors() const { return cacheCapacity_; }
-
     /** First sector of the media-cache region. */
     Pba cacheStart() const { return cacheStart_; }
 

@@ -4,14 +4,7 @@
 #include <chrono>
 #include <utility>
 
-#include "stl/conventional.h"
-#include "stl/defrag.h"
-#include "stl/finite_log.h"
 #include "stl/fsck.h"
-#include "stl/log_structured.h"
-#include "stl/media_cache.h"
-#include "stl/prefetch.h"
-#include "stl/selective_cache.h"
 #include "telemetry/trace_writer.h"
 #include "util/logging.h"
 
@@ -20,32 +13,6 @@ namespace logseek::stl
 
 namespace
 {
-
-/**
- * Copy a record's translated segments into `out`, merging
- * physically-and-logically adjacent neighbors on the way — one pass
- * instead of translateInto + mergeInPlace + assign. The predicate
- * is exactly mergePhysicallyContiguousInPlace's, so the result is
- * byte-identical to the three-step form.
- */
-void
-mergeAssign(const Segment *begin, const Segment *end,
-            std::vector<Segment> &out)
-{
-    out.clear();
-    for (const Segment *s = begin; s != end; ++s) {
-        if (!out.empty()) {
-            Segment &last = out.back();
-            if (last.pba + last.logical.count == s->pba &&
-                last.logical.end() == s->logical.start) {
-                last.logical.count += s->logical.count;
-                last.mapped = last.mapped || s->mapped;
-                continue;
-            }
-        }
-        out.push_back(*s);
-    }
-}
 
 /**
  * Throw InvalidArgument naming record `index` of `input`, whose
@@ -103,47 +70,14 @@ ReplayEngine::ReplayEngine(const SimConfig &config,
                            trace::TraceInput &input,
                            const std::vector<SimObserver *> &observers)
     : config_(config), input_(&input), observers_(observers),
-      accounting_(result_, config.seekTime)
+      layer_(makeTranslationLayer(config, input.addressSpaceEnd())),
+      finiteLog_(
+          dynamic_cast<FiniteLogStructuredLayer *>(layer_.get())),
+      mediaCache_(dynamic_cast<MediaCacheLayer *>(layer_.get())),
+      timeModel_(config.seekTime)
 {
     result_.workload = input.name();
     result_.configLabel = config_.label();
-
-    // Translation layer. Defragmentation needs a layer that can
-    // relocate ranges to the frontier; both log variants can.
-    if (config_.translation == TranslationKind::LogStructured) {
-        auto ls = std::make_unique<LogStructuredLayer>(
-            input.addressSpaceEnd(), config_.zones);
-        relocate_ = [raw = ls.get()](const SectorExtent &extent,
-                                     SegmentBuffer &out) {
-            raw->relocateInto(extent, out);
-        };
-        layer_ = std::move(ls);
-    } else if (config_.translation ==
-               TranslationKind::FiniteLogStructured) {
-        auto fl = std::make_unique<FiniteLogStructuredLayer>(
-            input.addressSpaceEnd(), config_.finiteLog);
-        relocate_ = [raw = fl.get()](const SectorExtent &extent,
-                                     SegmentBuffer &out) {
-            raw->relocateInto(extent, out);
-        };
-        cleaningMerges_ = [raw = fl.get()] {
-            return raw->cleanings();
-        };
-        gcVictimStats_ = [raw = fl.get()] {
-            return std::make_pair(raw->gcVictimLiveBytes(),
-                                  raw->gcVictimSpanBytes());
-        };
-        layer_ = std::move(fl);
-    } else if (config_.translation == TranslationKind::MediaCache) {
-        auto mc = std::make_unique<MediaCacheLayer>(
-            input.addressSpaceEnd(), config_.mediaCache);
-        cleaningMerges_ = [raw = mc.get()] {
-            return raw->mergeCount();
-        };
-        layer_ = std::move(mc);
-    } else {
-        layer_ = std::make_unique<ConventionalLayer>();
-    }
     if (config_.journal != nullptr)
         layer_->attachJournal(config_.journal);
 
@@ -191,16 +125,17 @@ ReplayEngine::ReplayEngine(const SimConfig &config,
         device_ = std::make_unique<disk::ZonedDevice>(
             layout, *config_.zonedDevice);
         device_->fillTo(identity_end);
-        accounting_.attachDevice(device_.get());
     }
 
-    // The §IV mechanisms; the defrag trigger needs a layer that can
-    // relocate.
+    // The §IV mechanisms; the defrag trigger rewrites at the head of
+    // one of the two logs.
     if (config_.cache)
         cache_.emplace(*config_.cache);
     if (config_.prefetch)
         prefetch_.emplace(*config_.prefetch);
-    if (config_.defrag && relocate_)
+    if (config_.defrag &&
+        (config_.translation == TranslationKind::LogStructured ||
+         finiteLog_ != nullptr))
         defrag_.emplace(*config_.defrag);
 
     layerHasMaintenance_ = layer_->hasMaintenance();
@@ -240,17 +175,28 @@ ReplayEngine::run()
         }
     }
 
-    // Counters sampled once, after the loop: cleaningMerges only
-    // ever grows, so the post-loop value equals the value after the
-    // last request.
-    if (cleaningMerges_)
-        accounting_.setCleaningMerges(cleaningMerges_());
-    if (gcVictimStats_) {
-        const auto [live, span] = gcVictimStats_();
-        accounting_.setGcVictimStats(live, span);
+    // Counters sampled once, after the loop: each only ever grows,
+    // so the post-loop value equals the value after the last
+    // request.
+    if (finiteLog_ != nullptr) {
+        result_.cleaningMerges = finiteLog_->cleanings();
+        result_.gcVictimLiveBytes = finiteLog_->gcVictimLiveBytes();
+        result_.gcVictimSpanBytes = finiteLog_->gcVictimSpanBytes();
+    } else if (mediaCache_ != nullptr) {
+        result_.cleaningMerges = mediaCache_->mergeCount();
     }
-    accounting_.setStaticFragments(layer_->staticFragmentCount());
-    accounting_.finishDevice();
+    result_.staticFragments = layer_->staticFragmentCount();
+    if (device_ != nullptr) {
+        result_.deviceGrownDefects = device_->stats().grownDefects;
+        const auto census = device_->zones().conditionCensus();
+        result_.deviceReadOnlyZones = census[static_cast<std::size_t>(
+            disk::ZoneCondition::ReadOnly)];
+        result_.deviceOfflineZones = census[static_cast<std::size_t>(
+            disk::ZoneCondition::Offline)];
+        result_.deviceErrorLogDropped =
+            device_->readErrorLog().dropped();
+        device_->publishZoneGauges();
+    }
 
     // --paranoid: the in-memory translation state and the durable
     // journal must agree at the end of every run.
@@ -359,16 +305,22 @@ ReplayEngine::serveRead()
 {
     IoEvent &event = event_;
     const Timer read(*this, readLatency_);
-    accounting_.beginRead();
+    ++result_.reads;
     {
         const Timer translate(*this, translateLatency_);
         layer_->translateReadInto(event.record.extent,
                                   segmentScratch_);
     }
-    mergeAssign(segmentScratch_.begin(), segmentScratch_.end(),
-                event.segments);
-    accounting_.readFragmentation(event.segments.size());
+    // The merged runs become the event's by trading buffers; copying
+    // them back out of the buffer the merge has just written slowed
+    // plain-LS replays measurably.
+    mergePhysicallyContiguousInPlace(segmentScratch_);
+    segmentScratch_.swap(event.segments);
     const bool fragmented = event.segments.size() >= 2;
+    if (fragmented) {
+        ++result_.fragmentedReads;
+        result_.readFragments += event.segments.size();
+    }
     for (const auto &segment : event.segments)
         serveFragment(segment.physical(), fragmented);
     if (defrag_) {
@@ -388,10 +340,11 @@ ReplayEngine::serveFragment(const SectorExtent &physical,
         const Timer time(*this, stageLatency_[Cache]);
         if (fragmented) {
             if (cache_->lookup(physical)) {
-                accounting_.cacheHit(event_);
+                ++event_.cacheHits;
+                ++result_.cacheHits;
                 return;
             }
-            accounting_.cacheMiss();
+            ++result_.cacheMisses;
         }
     }
     // The drive buffer is looked up for every fragment; only
@@ -399,7 +352,8 @@ ReplayEngine::serveFragment(const SectorExtent &physical,
     if (prefetch_) {
         const Timer time(*this, stageLatency_[Prefetch]);
         if (prefetch_->lookup(physical)) {
-            accounting_.prefetchHit(event_);
+            ++event_.prefetchHits;
+            ++result_.prefetchHits;
             return;
         }
     }
@@ -410,7 +364,7 @@ ReplayEngine::serveFragment(const SectorExtent &physical,
                                     : physical;
     {
         const Timer time(*this, stageLatency_[Media]);
-        accounting_.hostAccess(event_, region, trace::IoType::Read);
+        hostAccess(region, trace::IoType::Read);
     }
     // The transfer fills the buffer, then the cache, bottom-up. The
     // cache admits the fragment itself, not the fetch region:
@@ -427,30 +381,36 @@ void
 ReplayEngine::defragTrigger()
 {
     // Algorithm 1: write back heavily fragmented ranges at the log
-    // head, paying one extra (write) seek.
+    // head, paying one extra (write) seek. The finite log sends the
+    // rewrite to its coldest stream; on the LS log it is a write.
     IoEvent &event = event_;
-    if (!defrag_->onRead(event.record.extent, event.segments.size()))
+    const SectorExtent &extent = event.record.extent;
+    if (!defrag_->onRead(extent, event.segments.size()))
         return;
-    relocate_(event.record.extent, segmentScratch_);
+    if (finiteLog_ != nullptr)
+        finiteLog_->relocateInto(extent, segmentScratch_);
+    else
+        layer_->placeWriteInto(extent, segmentScratch_);
     event.defragSegments.assign(segmentScratch_.begin(),
                                 segmentScratch_.end());
-    accounting_.defragRewrite(event, event.record.extent.bytes());
+    event.defragRewrite = true;
+    ++result_.defragRewrites;
+    result_.defragBytes += extent.bytes();
     for (const auto &segment : event.defragSegments)
-        accounting_.hostAccess(event, segment.physical(),
-                               trace::IoType::Write);
+        hostAccess(segment.physical(), trace::IoType::Write);
 }
 
 void
 ReplayEngine::serveWrite()
 {
     IoEvent &event = event_;
-    accounting_.beginWrite(event.record.extent.bytes());
+    ++result_.writes;
+    result_.hostWriteBytes += event.record.extent.bytes();
     layer_->placeWriteInto(event.record.extent, segmentScratch_);
     event.segments.assign(segmentScratch_.begin(),
                           segmentScratch_.end());
     for (const auto &segment : event.segments)
-        accounting_.hostAccess(event, segment.physical(),
-                               trace::IoType::Write);
+        hostAccess(segment.physical(), trace::IoType::Write);
     runMaintenance();
 }
 
@@ -460,10 +420,75 @@ ReplayEngine::runMaintenance()
     if (!layerHasMaintenance_)
         return;
     // Background cleaning owed by the layer (media-cache merges,
-    // log garbage collection), accounted separately from
-    // host-visible seeks.
+    // log garbage collection), counted apart from host-visible
+    // seeks.
     for (const MediaAccess &access : layer_->maintenance())
-        accounting_.cleaningAccess(event_, access);
+        cleaningAccess(access);
+}
+
+void
+ReplayEngine::hostAccess(const SectorExtent &extent,
+                         trace::IoType type)
+{
+    const disk::SeekInfo info = head_.access(extent, type);
+    event_.mediaBytes += extent.bytes();
+    if (info.seeked) {
+        event_.seeks.push_back(info);
+        if (type == trace::IoType::Read)
+            ++result_.readSeeks;
+        else
+            ++result_.writeSeeks;
+        result_.seekTimeSec +=
+            timeModel_.seekSeconds(info.distanceBytes);
+    }
+    if (type == trace::IoType::Read)
+        result_.mediaReadBytes += extent.bytes();
+    else
+        result_.mediaWriteBytes += extent.bytes();
+    if (device_ != nullptr)
+        deviceAccess(extent, type);
+}
+
+void
+ReplayEngine::cleaningAccess(const MediaAccess &access)
+{
+    const disk::SeekInfo info =
+        head_.access(access.physical, access.type);
+    if (info.seeked) {
+        ++result_.cleaningSeeks;
+        ++event_.cleaningSeeks;
+        result_.seekTimeSec +=
+            timeModel_.seekSeconds(info.distanceBytes);
+    }
+    if (access.type == trace::IoType::Read)
+        result_.cleaningReadBytes += access.physical.bytes();
+    else
+        result_.cleaningWriteBytes += access.physical.bytes();
+    if (device_ != nullptr)
+        deviceAccess(access.physical, access.type);
+}
+
+void
+ReplayEngine::deviceAccess(const SectorExtent &extent,
+                           trace::IoType type)
+{
+    if (type == trace::IoType::Read) {
+        const disk::DeviceReadResult read = device_->read(extent);
+        result_.deviceReadRetries += read.retries;
+        result_.deviceRecoveredSectors += read.recoveredSectors;
+        result_.deviceFailedReadSectors += read.failedSectors;
+        if (read.degraded())
+            ++result_.deviceDegradedReads;
+        event_.deviceRetries += read.retries;
+        event_.deviceFailedSectors += read.failedSectors;
+    } else {
+        const disk::DeviceWriteResult write = device_->write(extent);
+        result_.deviceZoneResets += write.zoneResets;
+        result_.deviceWpViolations += write.wpViolations;
+        result_.deviceOutOfPolicyWrites += write.outOfPolicy;
+        result_.deviceFailedWriteSectors += write.failedSectors;
+        event_.deviceFailedSectors += write.failedSectors;
+    }
 }
 
 } // namespace logseek::stl

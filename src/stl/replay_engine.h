@@ -3,10 +3,12 @@
  * Per-run trace-replay engine.
  *
  * A ReplayEngine is built fresh for one (trace, config) run: it
- * instantiates the translation layer and the configured §IV
- * mechanisms, and routes every byte and seek through a single
- * Accounting sink. The Simulator facade constructs one engine per
- * run.
+ * instantiates the translation layer (makeTranslationLayer) and the
+ * configured §IV mechanisms, serves every record and counts it into
+ * the SimResult it builds. The disk head lives in the engine, so
+ * host-visible and cleaning accesses share one physical position
+ * and the seek definition (§II) is applied in exactly one place.
+ * The Simulator facade constructs one engine per run.
  *
  * Records are pulled from the input kPullSize at a time into a
  * columnar IoEventBatch (an mmap'd LSKC file fills it zero-copy)
@@ -32,15 +34,17 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "disk/head.h"
+#include "disk/seek_time.h"
 #include "disk/zoned_device.h"
-#include "stl/accounting.h"
 #include "stl/defrag.h"
+#include "stl/finite_log.h"
+#include "stl/media_cache.h"
 #include "stl/prefetch.h"
 #include "stl/selective_cache.h"
 #include "stl/simulator.h"
@@ -123,6 +127,23 @@ class ReplayEngine
     void serveWrite();
 
     /**
+     * One host-visible media access covering extent, charged to
+     * event_: a seek is detected against the head position,
+     * classified by type and timed by the analytic model.
+     */
+    void hostAccess(const SectorExtent &extent, trace::IoType type);
+
+    /**
+     * One background cleaning access (media-cache merge or log
+     * garbage collection), charged to event_. It moves the same
+     * head but is counted apart from host-visible seeks.
+     */
+    void cleaningAccess(const MediaAccess &access);
+
+    /** Mirror one media access through device_ (non-null). */
+    void deviceAccess(const SectorExtent &extent, trace::IoType type);
+
+    /**
      * Play the layer's owed background cleaning accesses, charged
      * to event_. Skipped entirely for layers with hasMaintenance()
      * == false.
@@ -142,23 +163,26 @@ class ReplayEngine
     std::vector<SimObserver *> observers_;
 
     SimResult result_;
-    Accounting accounting_;
     std::unique_ptr<TranslationLayer> layer_;
 
+    /** layer_ when it is that kind of layer, else null; not
+     *  owned. */
+    FiniteLogStructuredLayer *finiteLog_ = nullptr;
+    MediaCacheLayer *mediaCache_ = nullptr;
+
+    /** The one head every host and cleaning access moves. */
+    disk::DiskHead head_;
+    disk::SeekTimeModel timeModel_;
+
     /** Zoned-device realism layer; null unless configured. Every
-     *  media access Accounting sees is mirrored through it. */
+     *  media access is mirrored through it. */
     std::unique_ptr<disk::ZonedDevice> device_;
 
     /** The §IV mechanisms; each is empty unless configured. The
-     *  defragmenter also needs a layer that can relocate. */
+     *  defragmenter also needs one of the two log layers. */
     std::optional<SelectiveCache> cache_;
     std::optional<Prefetcher> prefetch_;
     std::optional<Defragmenter> defrag_;
-
-    /** Rewrites an LBA range contiguously at the layer's write
-     *  frontier; set for the two log layers. */
-    std::function<void(const SectorExtent &, SegmentBuffer &)>
-        relocate_;
 
     /** telemetry::enabled(), sampled once as run() starts. */
     bool timed_ = false;
@@ -173,7 +197,8 @@ class ReplayEngine
         stageLatency_;
 
     /** Reusable per-request scratch for layer results; clear()
-     *  keeps capacity, so steady-state requests do not allocate. */
+     *  keeps capacity, so steady-state requests do not allocate. A
+     *  read trades it with event_.segments once merged. */
     SegmentBuffer segmentScratch_;
 
     /** Columnar view of the records of the current pull. */
@@ -185,14 +210,6 @@ class ReplayEngine
 
     /** layer_->hasMaintenance(), sampled once at construction. */
     bool layerHasMaintenance_ = false;
-
-    /** Samples the layer's merge/cleaning counter; may be empty. */
-    std::function<std::uint64_t()> cleaningMerges_;
-
-    /** Samples the finite log's GC victim (live, span) byte
-     *  totals; may be empty. */
-    std::function<std::pair<std::uint64_t, std::uint64_t>()>
-        gcVictimStats_;
 };
 
 } // namespace logseek::stl

@@ -1,5 +1,6 @@
 #include "simulator.h"
 
+#include "stl/conventional.h"
 #include "stl/replay_engine.h"
 #include "util/logging.h"
 
@@ -65,12 +66,6 @@ Simulator::addObserver(SimObserver *observer)
     observers_.push_back(observer);
 }
 
-void
-Simulator::clearObservers()
-{
-    observers_.clear();
-}
-
 SimResult
 Simulator::run(const trace::Trace &trace)
 {
@@ -120,6 +115,25 @@ Simulator::replay(trace::TraceInput &input)
 {
     ReplayEngine engine(config_, input, observers_);
     return engine.run();
+}
+
+std::unique_ptr<TranslationLayer>
+makeTranslationLayer(const SimConfig &config, Lba address_space_end)
+{
+    switch (config.translation) {
+    case TranslationKind::LogStructured:
+        return std::make_unique<LogStructuredLayer>(address_space_end,
+                                                    config.zones);
+    case TranslationKind::FiniteLogStructured:
+        return std::make_unique<FiniteLogStructuredLayer>(
+            address_space_end, config.finiteLog);
+    case TranslationKind::MediaCache:
+        return std::make_unique<MediaCacheLayer>(address_space_end,
+                                                 config.mediaCache);
+    case TranslationKind::Conventional:
+        break;
+    }
+    return std::make_unique<ConventionalLayer>();
 }
 
 std::pair<SimResult, SimResult>

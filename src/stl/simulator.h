@@ -326,9 +326,6 @@ class Simulator
      */
     void addObserver(SimObserver *observer);
 
-    /** Remove all registered observers. */
-    void clearObservers();
-
     /**
      * Replay a trace and return aggregate results.
      * @throws FatalError / PanicError on a non-replayable trace or
@@ -368,6 +365,16 @@ class Simulator
     SimConfig config_;
     std::vector<SimObserver *> observers_;
 };
+
+/**
+ * A fresh translation layer of config.translation, with the
+ * configured zones, finite-log or media-cache geometry; a log or a
+ * media cache starts at address_space_end. The replay engine builds
+ * each run's layer here, and the crash harness the layer it mounts a
+ * journal on, so both see the same geometry. Attaches no journal.
+ */
+std::unique_ptr<TranslationLayer>
+makeTranslationLayer(const SimConfig &config, Lba address_space_end);
 
 /**
  * Convenience: run the same trace under the conventional baseline

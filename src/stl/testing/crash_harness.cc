@@ -4,7 +4,6 @@
 #include <memory>
 #include <sstream>
 
-#include "stl/conventional.h"
 #include "stl/fsck.h"
 #include "stl/testing/reference_extent_map.h"
 #include "util/status.h"
@@ -61,26 +60,6 @@ kindName(TranslationKind kind)
     return "?";
 }
 
-/**
- * A fresh translation layer with exactly the geometry the replay
- * engine builds for this config — the "new host" the crashed
- * journal is mounted on.
- */
-std::unique_ptr<TranslationLayer>
-freshLayer(const SimConfig &config, Lba address_space_end)
-{
-    if (config.translation == TranslationKind::LogStructured)
-        return std::make_unique<LogStructuredLayer>(
-            address_space_end, config.zones);
-    if (config.translation == TranslationKind::FiniteLogStructured)
-        return std::make_unique<FiniteLogStructuredLayer>(
-            address_space_end, config.finiteLog);
-    if (config.translation == TranslationKind::MediaCache)
-        return std::make_unique<MediaCacheLayer>(
-            address_space_end, config.mediaCache);
-    return std::make_unique<ConventionalLayer>();
-}
-
 /** Replay a scanned record prefix into the differential oracle. */
 void
 replayIntoOracle(const std::vector<JournalRecord> &records,
@@ -114,6 +93,17 @@ describeSegment(const Segment &segment)
     return out.str();
 }
 
+/** `segments` after the engine's contiguity merge. */
+SegmentBuffer
+merged(const std::vector<Segment> &segments)
+{
+    SegmentBuffer out;
+    for (const Segment &segment : segments)
+        out.push(segment);
+    mergePhysicallyContiguousInPlace(out);
+    return out;
+}
+
 /**
  * Compare the mounted layer's translation of the whole logical
  * space against the oracle's, after the engine's contiguity merge.
@@ -125,10 +115,8 @@ compareAgainstOracle(const TranslationLayer &layer,
                      Lba address_space_end)
 {
     const SectorExtent whole{0, address_space_end};
-    const std::vector<Segment> got =
-        mergePhysicallyContiguous(layer.translateRead(whole));
-    const std::vector<Segment> want =
-        mergePhysicallyContiguous(oracle.translate(whole));
+    const SegmentBuffer got = merged(layer.translateRead(whole));
+    const SegmentBuffer want = merged(oracle.translate(whole));
     if (got.size() != want.size()) {
         std::ostringstream out;
         out << "segment count " << got.size() << " != oracle "
@@ -201,8 +189,9 @@ struct CrashPointCheck
                 return;
             }
 
+        // The "new host": a fresh layer with the engine's geometry.
         const std::unique_ptr<TranslationLayer> remounted =
-            freshLayer(config, addressSpaceEnd);
+            makeTranslationLayer(config, addressSpaceEnd);
         const MountStats stats =
             remounted->mountFromJournal(journal);
         result.epochsApplied += stats.epochsApplied;

@@ -48,31 +48,6 @@ TranslationLayer::placeWrite(const SectorExtent &extent)
     return std::move(out).take();
 }
 
-std::vector<Segment>
-mergePhysicallyContiguous(std::vector<Segment> segments)
-{
-    if (segments.size() < 2)
-        return segments;
-    std::vector<Segment> merged;
-    merged.reserve(segments.size());
-    merged.push_back(segments.front());
-    for (std::size_t i = 1; i < segments.size(); ++i) {
-        Segment &last = merged.back();
-        const Segment &next = segments[i];
-        const bool physically_adjacent =
-            last.pba + last.logical.count == next.pba;
-        const bool logically_adjacent =
-            last.logical.end() == next.logical.start;
-        if (physically_adjacent && logically_adjacent) {
-            last.logical.count += next.logical.count;
-            last.mapped = last.mapped || next.mapped;
-        } else {
-            merged.push_back(next);
-        }
-    }
-    return merged;
-}
-
 void
 mergePhysicallyContiguousInPlace(SegmentBuffer &segments)
 {
@@ -89,8 +64,11 @@ mergePhysicallyContiguousInPlace(SegmentBuffer &segments)
         if (physically_adjacent && logically_adjacent) {
             last.logical.count += next.logical.count;
             last.mapped = last.mapped || next.mapped;
-        } else {
-            segments[++out] = next;
+        } else if (++out != i) {
+            // A run that merged with nothing is already in place;
+            // rewriting it would slow the reads of the buffer that
+            // follow the merge.
+            segments[out] = next;
         }
     }
     segments.truncate(out + 1);

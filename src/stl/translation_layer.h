@@ -118,20 +118,14 @@ class TranslationLayer
 };
 
 /**
- * Merge consecutive segments whose physical runs are contiguous.
- * Translation can produce logically split but physically adjacent
- * segments (e.g. an identity hole next to an identity-placed run);
- * the device would serve those with a single sequential access, so
- * the simulator merges them before seek accounting. The merged
- * segment is marked mapped if any constituent was mapped.
- */
-std::vector<Segment>
-mergePhysicallyContiguous(std::vector<Segment> segments);
-
-/**
- * In-place, allocation-free variant of mergePhysicallyContiguous
- * for the replay hot path: compacts `segments` so physically and
- * logically adjacent runs are merged, preserving order.
+ * Merge consecutive segments whose physical runs are contiguous, in
+ * place and in order. Translation can produce logically split but
+ * physically adjacent segments (e.g. an identity hole next to an
+ * identity-placed run); the device would serve those with a single
+ * sequential access, so the replay engine merges them before seek
+ * accounting. Only runs adjacent both logically and physically
+ * merge, and the merged segment is marked mapped if any constituent
+ * was mapped.
  */
 void mergePhysicallyContiguousInPlace(SegmentBuffer &segments);
 

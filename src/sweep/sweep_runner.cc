@@ -55,11 +55,10 @@ WorkloadSpec
 WorkloadSpec::profile(const std::string &name,
                       const workloads::ProfileOptions &options)
 {
-    return {name,
-            [name, options] {
-                return workloads::makeWorkload(name, options);
-            },
-            nullptr};
+    return {name, [name, options] {
+                return std::make_shared<const trace::InMemoryTraceSource>(
+                    workloads::makeWorkload(name, options));
+            }};
 }
 
 WorkloadSpec
@@ -68,14 +67,12 @@ WorkloadSpec::derived(
     const workloads::ProfileOptions &options,
     std::function<trace::Trace(const trace::Trace &)> transform)
 {
-    return {label,
-            [profile_name, options,
-             transform = std::move(transform)] {
-                trace::Trace out = transform(
-                    workloads::makeWorkload(profile_name, options));
-                return out;
-            },
-            nullptr};
+    return {label, [profile_name, options,
+                    transform = std::move(transform)] {
+                return std::make_shared<const trace::InMemoryTraceSource>(
+                    transform(
+                        workloads::makeWorkload(profile_name, options)));
+            }};
 }
 
 WorkloadSpec
@@ -84,16 +81,16 @@ WorkloadSpec::source(
     std::function<std::shared_ptr<const trace::TraceSource>()>
         load_source)
 {
-    return {std::move(name), nullptr, std::move(load_source)};
+    return {std::move(name), std::move(load_source)};
 }
 
 ConfigSpec
 ConfigSpec::fixed(std::string label, stl::SimConfig config)
 {
     return {std::move(label),
-            [config](const trace::Trace &) { return config; },
-            [config = std::move(config)](
-                const trace::TraceSource &) { return config; }};
+            [config = std::move(config)](const trace::TraceSource &) {
+                return config;
+            }};
 }
 
 ConfigSpec
@@ -101,7 +98,18 @@ ConfigSpec::deferred(
     std::string label,
     std::function<stl::SimConfig(const trace::Trace &)> make)
 {
-    return {std::move(label), std::move(make), nullptr};
+    auto from_source = [label, make = std::move(make)](
+                           const trace::TraceSource &source) {
+        const trace::Trace *memory = source.memoryTrace();
+        if (memory == nullptr)
+            throw StatusError(invalidArgumentError(
+                "config '" + label +
+                "' sizes itself from the whole trace, but workload '" +
+                source.name() +
+                "' is not RAM-backed; use ConfigSpec::deferredSource"));
+        return make(*memory);
+    };
+    return {std::move(label), std::move(from_source)};
 }
 
 ConfigSpec
@@ -109,7 +117,7 @@ ConfigSpec::deferredSource(
     std::string label,
     std::function<stl::SimConfig(const trace::TraceSource &)> make)
 {
-    return {std::move(label), nullptr, std::move(make)};
+    return {std::move(label), std::move(make)};
 }
 
 const RunRow &
@@ -260,15 +268,10 @@ std::shared_ptr<const trace::TraceSource>
 SweepRunner::loadWorkload(std::size_t w) const
 {
     const WorkloadSpec &spec = workloads_[w];
-    std::shared_ptr<const trace::TraceSource> source;
-    if (spec.loadSource)
-        source = spec.loadSource();
-    else
-        source = std::make_shared<const trace::InMemoryTraceSource>(
-            spec.load());
+    std::shared_ptr<const trace::TraceSource> source = spec.load();
     if (source == nullptr)
         throw FatalError("workload '" + spec.name +
-                         "': loadSource returned null");
+                         "': loader returned null");
     if (options_.onTrace) {
         const trace::Trace *memory = source->memoryTrace();
         if (memory != nullptr)
@@ -281,23 +284,8 @@ Status
 SweepRunner::replayCell(const trace::TraceSource &source,
                         RunRow &row) const
 {
-    const ConfigSpec &spec = configs_[row.key.configIndex];
-    stl::SimConfig config;
-    if (spec.makeSource) {
-        config = spec.makeSource(source);
-    } else {
-        const trace::Trace *memory = source.memoryTrace();
-        if (memory == nullptr)
-            return invalidArgumentError(
-                "config '" + row.key.configLabel +
-                "' sizes itself from the whole trace, but "
-                "workload '" +
-                row.key.workload +
-                "' is not RAM-backed; use "
-                "ConfigSpec::deferredSource");
-        config = spec.make(*memory);
-    }
-    stl::Simulator simulator(config);
+    stl::Simulator simulator(
+        configs_[row.key.configIndex].make(source));
     if (options_.observerFactory)
         row.observers = options_.observerFactory(row.key);
     for (const auto &observer : row.observers)

@@ -43,22 +43,15 @@ struct WorkloadSpec
     std::string name;
 
     /**
-     * Produces the trace; called exactly once, on a pool worker.
-     * Must be safe to call concurrently with other specs' loaders.
-     * Ignored when loadSource is set.
+     * Produces the workload's shareable TraceSource; called exactly
+     * once, on a pool worker, so it must be safe to call
+     * concurrently with other specs' loaders. The runner shares the
+     * source across the workload's cells and drops its references
+     * as cells complete, so the source (trace memory or file
+     * mapping) is released when the last dependent cell finishes —
+     * not at sweep end.
      */
-    std::function<trace::Trace()> load;
-
-    /**
-     * Produces a shareable TraceSource instead of an in-RAM Trace;
-     * preferred over `load` when set. Also called exactly once, on
-     * a pool worker; the runner shares the source across the
-     * workload's cells and drops its references as cells complete,
-     * so the source (trace memory or file mapping) is released
-     * when the last dependent cell finishes — not at sweep end.
-     */
-    std::function<std::shared_ptr<const trace::TraceSource>()>
-        loadSource;
+    std::function<std::shared_ptr<const trace::TraceSource>()> load;
 
     /** A named synthetic profile (workloads::makeWorkload). */
     static WorkloadSpec profile(const std::string &name,
@@ -90,26 +83,20 @@ struct ConfigSpec
     std::string label;
 
     /**
-     * Builds the SimConfig for one workload. Receives the loaded
-     * trace so configs can be sized from trace properties (e.g. a
-     * finite log scaled to the written volume). Must be pure.
-     * Only usable on RAM-backed workloads; makeSource wins when
-     * both are set.
+     * Builds the SimConfig for one workload from its loaded source,
+     * so configs can be sized from trace properties (e.g. a finite
+     * log scaled to the written volume). Must be pure.
      */
-    std::function<stl::SimConfig(const trace::Trace &)> make;
-
-    /**
-     * Source-aware factory: sees the workload's TraceSource, so it
-     * also works for streamed/mmap'd workloads that never
-     * materialize a Trace. Must be pure.
-     */
-    std::function<stl::SimConfig(const trace::TraceSource &)>
-        makeSource;
+    std::function<stl::SimConfig(const trace::TraceSource &)> make;
 
     /** A trace-independent configuration. */
     static ConfigSpec fixed(std::string label, stl::SimConfig config);
 
-    /** A configuration computed per workload from its trace. */
+    /**
+     * A configuration computed per workload from its in-RAM trace.
+     * On a workload that is not RAM-backed (TraceSource::
+     * memoryTrace() null) the cell fails with InvalidArgument.
+     */
     static ConfigSpec
     deferred(std::string label,
              std::function<stl::SimConfig(const trace::Trace &)> make);

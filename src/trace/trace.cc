@@ -27,11 +27,4 @@ Trace::durationUs() const
     return records_.empty() ? 0 : records_.back().timestampUs;
 }
 
-void
-Trace::appendAll(const Trace &other)
-{
-    for (const auto &record : other)
-        append(record);
-}
-
 } // namespace logseek::trace

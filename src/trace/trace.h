@@ -64,9 +64,6 @@ class Trace
     /** Timestamp of the last record; 0 for an empty trace. */
     std::uint64_t durationUs() const;
 
-    /** Concatenate another trace's records after this one's. */
-    void appendAll(const Trace &other);
-
   private:
     std::string name_;
     std::vector<IoRecord> records_;

@@ -91,37 +91,4 @@ EmpiricalCdf::curve(double lo, double hi, std::size_t n) const
     return points;
 }
 
-Histogram::Histogram(std::uint64_t bin_width, std::size_t bin_count)
-    : binWidth_(bin_width), bins_(bin_count, 0)
-{
-    panicIf(bin_width == 0, "Histogram: bin width must be > 0");
-    panicIf(bin_count == 0, "Histogram: bin count must be > 0");
-}
-
-void
-Histogram::add(std::uint64_t sample, std::uint64_t weight)
-{
-    const std::uint64_t index = sample / binWidth_;
-    if (index < bins_.size())
-        bins_[static_cast<std::size_t>(index)] += weight;
-    else
-        overflow_ += weight;
-    total_ += weight;
-}
-
-std::uint64_t
-Histogram::binWeight(std::size_t i) const
-{
-    panicIf(i >= bins_.size(), "Histogram::binWeight: index out of range");
-    return bins_[i];
-}
-
-std::uint64_t
-Histogram::binLowerEdge(std::size_t i) const
-{
-    panicIf(i >= bins_.size(),
-            "Histogram::binLowerEdge: index out of range");
-    return static_cast<std::uint64_t>(i) * binWidth_;
-}
-
 } // namespace logseek

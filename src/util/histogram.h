@@ -1,9 +1,9 @@
 /**
  * @file
- * Empirical distributions: sample-based CDFs and fixed-bin histograms.
+ * Empirical distributions: sample-based CDFs.
  *
- * Both are used to regenerate the paper's CDF figures (access
- * distances, fragmented-read fragment counts, cache-size curves).
+ * Used to regenerate the paper's CDF figures (access distances,
+ * fragmented-read fragment counts, cache-size curves).
  */
 
 #ifndef LOGSEEK_UTIL_HISTOGRAM_H
@@ -61,47 +61,6 @@ class EmpiricalCdf
 
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
-};
-
-/**
- * Fixed-width-bin histogram over unsigned integer samples, with an
- * overflow bin for samples past the last edge.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param bin_width Width of each bin (> 0).
-     * @param bin_count Number of regular bins (> 0).
-     */
-    Histogram(std::uint64_t bin_width, std::size_t bin_count);
-
-    /** Add one sample with weight 1. */
-    void add(std::uint64_t sample) { add(sample, 1); }
-
-    /** Add one sample with a given weight. */
-    void add(std::uint64_t sample, std::uint64_t weight);
-
-    /** Total weight added. */
-    std::uint64_t totalWeight() const { return total_; }
-
-    /** Weight in regular bin i. */
-    std::uint64_t binWeight(std::size_t i) const;
-
-    /** Weight of samples beyond the last regular bin. */
-    std::uint64_t overflowWeight() const { return overflow_; }
-
-    /** Number of regular bins. */
-    std::size_t binCount() const { return bins_.size(); }
-
-    /** Inclusive lower edge of regular bin i. */
-    std::uint64_t binLowerEdge(std::size_t i) const;
-
-  private:
-    std::uint64_t binWidth_;
-    std::vector<std::uint64_t> bins_;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 } // namespace logseek

@@ -64,15 +64,6 @@ Rng::nextUint(std::uint64_t bound)
     return value % bound;
 }
 
-std::uint64_t
-Rng::nextRange(std::uint64_t lo, std::uint64_t hi)
-{
-    panicIf(lo > hi, "Rng::nextRange: lo > hi");
-    if (lo == 0 && hi == max())
-        return (*this)();
-    return lo + nextUint(hi - lo + 1);
-}
-
 double
 Rng::nextDouble()
 {
@@ -84,12 +75,6 @@ bool
 Rng::nextBool(double p)
 {
     return nextDouble() < p;
-}
-
-Rng
-Rng::fork()
-{
-    return Rng((*this)());
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double skew)

@@ -41,21 +41,11 @@ class Rng
     /** Uniform integer in [0, bound), bound > 0 (unbiased). */
     std::uint64_t nextUint(std::uint64_t bound);
 
-    /** Uniform integer in [lo, hi] inclusive, lo <= hi. */
-    std::uint64_t nextRange(std::uint64_t lo, std::uint64_t hi);
-
     /** Uniform double in [0, 1). */
     double nextDouble();
 
     /** Bernoulli draw with probability p of true. */
     bool nextBool(double p);
-
-    /**
-     * Fork a statistically independent child stream. Used to give
-     * each workload phase its own stream so that reordering phases
-     * does not perturb other phases' draws.
-     */
-    Rng fork();
 
   private:
     std::uint64_t s_[4];

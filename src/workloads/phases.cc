@@ -61,16 +61,6 @@ randomWrite(TraceBuilder &builder, Rng &rng,
 }
 
 void
-randomRead(TraceBuilder &builder, Rng &rng, const SectorExtent &region,
-           std::uint64_t count, SectorCount io_sectors)
-{
-    panicIf(io_sectors == 0, "randomRead: io size must be > 0");
-    for (std::uint64_t i = 0; i < count; ++i)
-        builder.read(randomAlignedOffset(rng, region, io_sectors),
-                     io_sectors);
-}
-
-void
 misorderedWrite(TraceBuilder &builder, const SectorExtent &run,
                 SectorCount io_sectors, MisorderPattern pattern)
 {
@@ -190,14 +180,6 @@ interleavedStreamWrite(TraceBuilder &builder, const SectorExtent &area,
             progressed = true;
         }
     }
-}
-
-void
-temporalReplayRead(TraceBuilder &builder,
-                   const std::vector<SectorExtent> &recent)
-{
-    for (const auto &extent : recent)
-        builder.read(extent.start, extent.count);
 }
 
 HotSpotReader::HotSpotReader(const SectorExtent &pool,

@@ -43,11 +43,6 @@ void randomWrite(TraceBuilder &builder, Rng &rng,
                  const SectorExtent &region, std::uint64_t count,
                  SectorCount io_sectors);
 
-/** Issue count random-offset reads of io_sectors inside region. */
-void randomRead(TraceBuilder &builder, Rng &rng,
-                const SectorExtent &region, std::uint64_t count,
-                SectorCount io_sectors);
-
 /** Issue order for misorderedWrite runs. */
 enum class MisorderPattern
 {
@@ -99,16 +94,6 @@ void interleavedStreamWrite(TraceBuilder &builder,
                             const SectorExtent &area,
                             std::uint32_t stream_count,
                             SectorCount io_sectors);
-
-/**
- * Replay the most recent writes as reads, in the exact order they
- * were written (the paper's "small file creation and access" toy
- * case: temporally correlated reads are seek-free under LS).
- *
- * @param recent Write extents in issue order, oldest first.
- */
-void temporalReplayRead(TraceBuilder &builder,
-                        const std::vector<SectorExtent> &recent);
 
 /**
  * Skewed re-reader of a pool of fixed-size chunks. The pool's

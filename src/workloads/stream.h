@@ -50,8 +50,8 @@ struct StreamSpec
     std::string name;
 
     /** Declared address-space end; every record of every chunk
-     *  must stay inside it (checked by the simulator's validate
-     *  pass, not by the stream). */
+     *  must stay inside it. profileStream() and mixedStream() make
+     *  that hold by construction; the stream checks nothing. */
     Lba addressSpaceEnd = 0;
 
     /** Number of chunks makeChunk will be asked for: [0, chunks). */

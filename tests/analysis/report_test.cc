@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the text table/series printers.
+ * Unit tests for the text table printers.
  */
 
 #include <gtest/gtest.h>
@@ -64,26 +64,6 @@ TEST(FormatBytes, PicksHumanUnits)
     EXPECT_EQ(formatBytes(2 * kKiB), "2.0 KiB");
     EXPECT_EQ(formatBytes(3 * kMiB + kMiB / 2), "3.5 MiB");
     EXPECT_EQ(formatBytes(kGiB), "1.0 GiB");
-}
-
-TEST(PrintSeries, EmitsHeaderAndPoints)
-{
-    std::ostringstream out;
-    printSeries(out, "My Series", "x", "y",
-                {{0.0, 0.5}, {1.0, 0.75}});
-    const std::string text = out.str();
-    EXPECT_NE(text.find("# My Series"), std::string::npos);
-    EXPECT_NE(text.find("# x\ty"), std::string::npos);
-    EXPECT_NE(text.find("0.0000\t0.500000"), std::string::npos);
-    EXPECT_NE(text.find("1.0000\t0.750000"), std::string::npos);
-}
-
-TEST(PrintSeries, EmptySeriesJustPrintsHeader)
-{
-    std::ostringstream out;
-    printSeries(out, "Empty", "x", "y", {});
-    const std::string text = out.str();
-    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
 }
 
 } // namespace

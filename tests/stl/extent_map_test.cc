@@ -339,33 +339,36 @@ TEST(ExtentMap, MovedMapsPublishTheirCountsOnce)
 
 TEST(MergePhysicallyContiguous, MergesAdjacentRuns)
 {
-    std::vector<Segment> segments{
-        {{0, 4}, 100, true},
-        {{4, 4}, 104, false}, // physically continues
-        {{8, 4}, 500, true},  // jump
-    };
-    const auto merged = mergePhysicallyContiguous(segments);
-    ASSERT_EQ(merged.size(), 2u);
-    EXPECT_EQ(merged[0].logical, (SectorExtent{0, 8}));
-    EXPECT_EQ(merged[0].pba, 100u);
-    EXPECT_TRUE(merged[0].mapped);
-    EXPECT_EQ(merged[1].pba, 500u);
+    SegmentBuffer segments;
+    segments.push({{0, 4}, 100, true});
+    segments.push({{4, 4}, 104, false}); // physically continues
+    segments.push({{8, 4}, 500, true});  // jump
+    mergePhysicallyContiguousInPlace(segments);
+    ASSERT_EQ(segments.size(), 2u);
+    EXPECT_EQ(segments[0].logical, (SectorExtent{0, 8}));
+    EXPECT_EQ(segments[0].pba, 100u);
+    EXPECT_TRUE(segments[0].mapped);
+    EXPECT_EQ(segments[1].pba, 500u);
 }
 
 TEST(MergePhysicallyContiguous, LeavesDisjointAlone)
 {
-    std::vector<Segment> segments{
-        {{0, 4}, 100, true},
-        {{4, 4}, 300, true},
-    };
-    EXPECT_EQ(mergePhysicallyContiguous(segments).size(), 2u);
+    SegmentBuffer segments;
+    segments.push({{0, 4}, 100, true});
+    segments.push({{4, 4}, 300, true});
+    mergePhysicallyContiguousInPlace(segments);
+    EXPECT_EQ(segments.size(), 2u);
 }
 
 TEST(MergePhysicallyContiguous, HandlesEmptyAndSingle)
 {
-    EXPECT_TRUE(mergePhysicallyContiguous({}).empty());
-    const std::vector<Segment> one{{{0, 4}, 9, true}};
-    EXPECT_EQ(mergePhysicallyContiguous(one).size(), 1u);
+    SegmentBuffer segments;
+    mergePhysicallyContiguousInPlace(segments);
+    EXPECT_TRUE(segments.empty());
+    segments.push({{0, 4}, 9, true});
+    mergePhysicallyContiguousInPlace(segments);
+    ASSERT_EQ(segments.size(), 1u);
+    EXPECT_EQ(segments[0].pba, 9u);
 }
 
 } // namespace

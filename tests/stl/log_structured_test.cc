@@ -103,7 +103,8 @@ TEST(LogStructuredLayer, RelocateMovesRangeToFrontier)
     layer.placeWrite({0, 4});
     layer.placeWrite({8, 4});
     const Pba frontier = layer.writeFrontier();
-    const auto placed = layer.relocate({0, 12});
+    // A defrag rewrite on the LS log is a plain placement.
+    const auto placed = layer.placeWrite({0, 12});
     ASSERT_EQ(placed.size(), 1u);
     EXPECT_EQ(placed[0].pba, frontier);
     // The whole range is now one contiguous run.

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "stl/simulator.h"
 #include "sweep/sweep_runner.h"
 #include "telemetry/metrics.h"
+#include "trace/input.h"
 #include "util/random.h"
 
 namespace logseek::stl
@@ -450,7 +452,10 @@ TEST(ReplayTelemetry, ConcurrentReplaysMergeExactly)
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         sweep::WorkloadSpec spec;
         spec.name = "frag" + std::to_string(seed);
-        spec.load = [seed] { return fragmentingTrace(seed); };
+        spec.load = [seed] {
+            return std::make_shared<const trace::InMemoryTraceSource>(
+                fragmentingTrace(seed));
+        };
         specs.push_back(std::move(spec));
     }
     sweep::SweepOptions options;

@@ -406,16 +406,64 @@ TEST(Simulator, NullObserverPanics)
     EXPECT_THROW(simulator.addObserver(nullptr), PanicError);
 }
 
-TEST(Simulator, ClearObserversStopsDelivery)
+TEST(Simulator, MakeTranslationLayerFollowsTheConfig)
 {
-    trace::Trace trace("t");
-    trace.appendWrite(0, 4);
-    Recorder recorder;
-    Simulator simulator(lsConfig());
-    simulator.addObserver(&recorder);
-    simulator.clearObservers();
-    simulator.run(trace);
-    EXPECT_TRUE(recorder.events.empty());
+    // Every TranslationKind as the replay engine and the crash
+    // harness build it: a log or a media cache starts at the
+    // address-space end, and its geometry is the SimConfig's.
+    const Lba end = 1000;
+    SimConfig config = nolsConfig();
+    const auto nols = makeTranslationLayer(config, end);
+    EXPECT_EQ(nols->name(), "conventional");
+    const auto in_place = nols->placeWrite({40, 8});
+    ASSERT_EQ(in_place.size(), 1u);
+    EXPECT_EQ(in_place[0].pba, 40u);
+
+    // 32-sector zones behind 8-sector guards: a 40-sector write
+    // fills the first zone and skips one guard.
+    config = lsConfig();
+    config.zones = ZoneConfig{16 * kKiB, 4 * kKiB};
+    const auto ls_layer = makeTranslationLayer(config, end);
+    auto *ls = dynamic_cast<LogStructuredLayer *>(ls_layer.get());
+    ASSERT_NE(ls, nullptr);
+    EXPECT_EQ(ls->logStart(), end);
+    const auto placed = ls->placeWrite({0, 40});
+    ASSERT_EQ(placed.size(), 2u);
+    EXPECT_EQ(placed[0].physical(), (SectorExtent{end, 32}));
+    EXPECT_EQ(placed[1].physical(), (SectorExtent{end + 40, 8}));
+    EXPECT_EQ(ls->zoneCrossings(), 1u);
+
+    config.translation = TranslationKind::FiniteLogStructured;
+    config.finiteLog.capacityBytes = kMiB;
+    config.finiteLog.segmentBytes = 128 * kKiB;
+    config.finiteLog.gc.policy = gc::CleaningPolicyKind::CostBenefit;
+    config.finiteLog.gc.streams = 2;
+    const auto fl_layer = makeTranslationLayer(config, end);
+    const auto *fl =
+        dynamic_cast<const FiniteLogStructuredLayer *>(fl_layer.get());
+    ASSERT_NE(fl, nullptr);
+    EXPECT_EQ(fl->logStart(), end);
+    EXPECT_EQ(fl->segmentSectors(), bytesToSectors(128 * kKiB));
+    EXPECT_EQ(fl->segmentCount(), 8u);
+    EXPECT_EQ(fl->streamCount(), 2u);
+    EXPECT_STREQ(fl->policy().name(), "cost-benefit");
+
+    // A 128-sector cache merging at half full, in 32-sector bands.
+    config.translation = TranslationKind::MediaCache;
+    config.mediaCache.cacheBytes = 64 * kKiB;
+    config.mediaCache.mergeThreshold = 0.5;
+    config.mediaCache.bandBytes = 16 * kKiB;
+    const auto mc_layer = makeTranslationLayer(config, end);
+    auto *mc = dynamic_cast<MediaCacheLayer *>(mc_layer.get());
+    ASSERT_NE(mc, nullptr);
+    EXPECT_EQ(mc->cacheStart(), end);
+    EXPECT_EQ(mc->placeWrite({0, 63})[0].pba, end);
+    EXPECT_TRUE(mc->maintenance().empty());
+    mc->placeWrite({100, 1});
+    const std::vector<MediaAccess> merge = mc->maintenance();
+    ASSERT_FALSE(merge.empty());
+    EXPECT_EQ(merge.front().physical, (SectorExtent{0, 32}));
+    EXPECT_EQ(mc->mergeCount(), 1u);
 }
 
 } // namespace

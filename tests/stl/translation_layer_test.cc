@@ -1,12 +1,15 @@
 /**
  * @file
  * Unit tests for the translation-layer helpers, focused on
- * mergePhysicallyContiguous — the function the replay engine relies
- * on to coalesce logically split but physically adjacent segments
- * before seek accounting.
+ * mergePhysicallyContiguousInPlace — the function the replay engine
+ * relies on to coalesce logically split but physically adjacent
+ * segments before seek accounting.
  */
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "stl/translation_layer.h"
 
@@ -15,15 +18,27 @@ namespace logseek::stl
 namespace
 {
 
+/** `segments` compacted in one SegmentBuffer, as the engine merges
+ *  a read's fragments. */
+std::vector<Segment>
+mergeInPlace(const std::vector<Segment> &segments)
+{
+    SegmentBuffer buffer;
+    for (const Segment &segment : segments)
+        buffer.push(segment);
+    mergePhysicallyContiguousInPlace(buffer);
+    return std::move(buffer).take();
+}
+
 TEST(MergePhysicallyContiguousTest, EmptyInputStaysEmpty)
 {
-    EXPECT_TRUE(mergePhysicallyContiguous({}).empty());
+    EXPECT_TRUE(mergeInPlace({}).empty());
 }
 
 TEST(MergePhysicallyContiguousTest, SingleSegmentIsUntouched)
 {
     const std::vector<Segment> one{{{10, 4}, 900, true}};
-    const auto merged = mergePhysicallyContiguous(one);
+    const auto merged = mergeInPlace(one);
     ASSERT_EQ(merged.size(), 1u);
     EXPECT_EQ(merged[0].logical, (SectorExtent{10, 4}));
     EXPECT_EQ(merged[0].pba, 900u);
@@ -38,7 +53,7 @@ TEST(MergePhysicallyContiguousTest, MergesMappedAdjacency)
         {{0, 8}, 100, true},
         {{8, 8}, 108, true},
     };
-    const auto merged = mergePhysicallyContiguous(segments);
+    const auto merged = mergeInPlace(segments);
     ASSERT_EQ(merged.size(), 1u);
     EXPECT_EQ(merged[0].logical, (SectorExtent{0, 16}));
     EXPECT_EQ(merged[0].pba, 100u);
@@ -53,7 +68,7 @@ TEST(MergePhysicallyContiguousTest, MergedFlagIsOrOfConstituents)
         {{0, 4}, 100, true},
         {{4, 4}, 104, false},
     };
-    auto merged = mergePhysicallyContiguous(mapped_first);
+    auto merged = mergeInPlace(mapped_first);
     ASSERT_EQ(merged.size(), 1u);
     EXPECT_TRUE(merged[0].mapped);
 
@@ -61,7 +76,7 @@ TEST(MergePhysicallyContiguousTest, MergedFlagIsOrOfConstituents)
         {{0, 4}, 100, false},
         {{4, 4}, 104, true},
     };
-    merged = mergePhysicallyContiguous(unmapped_first);
+    merged = mergeInPlace(unmapped_first);
     ASSERT_EQ(merged.size(), 1u);
     EXPECT_TRUE(merged[0].mapped);
 
@@ -69,7 +84,7 @@ TEST(MergePhysicallyContiguousTest, MergedFlagIsOrOfConstituents)
         {{0, 4}, 100, false},
         {{4, 4}, 104, false},
     };
-    merged = mergePhysicallyContiguous(both_unmapped);
+    merged = mergeInPlace(both_unmapped);
     ASSERT_EQ(merged.size(), 1u);
     EXPECT_FALSE(merged[0].mapped);
 }
@@ -82,7 +97,7 @@ TEST(MergePhysicallyContiguousTest, KeepsPhysicallyDisjointRuns)
         {{0, 4}, 100, true},
         {{4, 4}, 500, true},
     };
-    const auto merged = mergePhysicallyContiguous(segments);
+    const auto merged = mergeInPlace(segments);
     ASSERT_EQ(merged.size(), 2u);
     EXPECT_EQ(merged[0].pba, 100u);
     EXPECT_EQ(merged[1].pba, 500u);
@@ -96,7 +111,7 @@ TEST(MergePhysicallyContiguousTest, KeepsLogicallyDisjointRuns)
         {{0, 4}, 100, true},
         {{8, 4}, 104, true},
     };
-    EXPECT_EQ(mergePhysicallyContiguous(segments).size(), 2u);
+    EXPECT_EQ(mergeInPlace(segments).size(), 2u);
 }
 
 TEST(MergePhysicallyContiguousTest, ChainsAcrossManySegments)
@@ -109,7 +124,7 @@ TEST(MergePhysicallyContiguousTest, ChainsAcrossManySegments)
         {{4, 2}, 54, true},
         {{6, 2}, 900, false},
     };
-    const auto merged = mergePhysicallyContiguous(segments);
+    const auto merged = mergeInPlace(segments);
     ASSERT_EQ(merged.size(), 2u);
     EXPECT_EQ(merged[0].logical, (SectorExtent{0, 6}));
     EXPECT_EQ(merged[0].pba, 50u);

@@ -312,10 +312,9 @@ TEST(SweepRunnerTest, FailingLoaderFailsOnlyItsOwnRow)
     std::vector<WorkloadSpec> specs = tinyWorkloads();
     specs.push_back(
         {"broken-load",
-         []() -> trace::Trace {
+         []() -> std::shared_ptr<const trace::TraceSource> {
              throw FatalError("deliberately broken loader");
-         },
-         nullptr});
+         }});
 
     SweepOptions options;
     options.jobs = 4;
@@ -342,11 +341,11 @@ TEST(SweepRunnerTest, StandardExceptionsFailTheirCells)
     // their cells, and every cell must still report completion.
     std::vector<WorkloadSpec> specs;
     specs.push_back(WorkloadSpec::profile("w91", tinyProfile()));
-    specs.push_back({"throws-runtime-error",
-                     []() -> trace::Trace {
-                         throw std::runtime_error("loader blew up");
-                     },
-                     nullptr});
+    specs.push_back(
+        {"throws-runtime-error",
+         []() -> std::shared_ptr<const trace::TraceSource> {
+             throw std::runtime_error("loader blew up");
+         }});
     std::vector<ConfigSpec> configs;
     configs.push_back(ConfigSpec::fixed(
         "NoLS", configFor(stl::TranslationKind::Conventional)));
@@ -414,9 +413,10 @@ peakLoadedWorkloads(int jobs)
                      trace.appendWrite(i * 16, 8, 2 * i);
                      trace.appendRead(i * 8, 16, 2 * i + 1);
                  }
-                 return trace;
-             },
-             nullptr});
+                 return std::make_shared<
+                     const trace::InMemoryTraceSource>(
+                     std::move(trace));
+             }});
     }
     SweepOptions options;
     options.jobs = jobs;

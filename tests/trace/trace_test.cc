@@ -93,19 +93,6 @@ TEST(Trace, RangeForIteration)
     EXPECT_EQ(count, 2u);
 }
 
-TEST(Trace, AppendAllConcatenates)
-{
-    Trace a("a");
-    a.appendRead(10, 2);
-    Trace b("b");
-    b.appendWrite(500, 4);
-    b.appendRead(20, 1);
-    a.appendAll(b);
-    ASSERT_EQ(a.size(), 3u);
-    EXPECT_EQ(a.addressSpaceEnd(), 504u);
-    EXPECT_EQ(a.name(), "a");
-}
-
 TEST(Trace, SetNameReplaces)
 {
     Trace trace("old");

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for EmpiricalCdf and Histogram.
+ * Unit tests for EmpiricalCdf.
  */
 
 #include <gtest/gtest.h>
@@ -112,58 +112,6 @@ TEST(EmpiricalCdf, InterleavedAddAndQuery)
     EXPECT_DOUBLE_EQ(cdf.fractionAtOrBelow(1.0), 0.5);
     cdf.add(0.0);
     EXPECT_NEAR(cdf.fractionAtOrBelow(1.0), 2.0 / 3.0, 1e-12);
-}
-
-TEST(Histogram, BinsBySampleValue)
-{
-    Histogram hist(10, 5);
-    hist.add(0);
-    hist.add(9);
-    hist.add(10);
-    hist.add(49);
-    EXPECT_EQ(hist.binWeight(0), 2u);
-    EXPECT_EQ(hist.binWeight(1), 1u);
-    EXPECT_EQ(hist.binWeight(4), 1u);
-    EXPECT_EQ(hist.totalWeight(), 4u);
-    EXPECT_EQ(hist.overflowWeight(), 0u);
-}
-
-TEST(Histogram, OverflowBinCatchesLargeSamples)
-{
-    Histogram hist(10, 2);
-    hist.add(20);
-    hist.add(1000);
-    EXPECT_EQ(hist.overflowWeight(), 2u);
-    EXPECT_EQ(hist.totalWeight(), 2u);
-}
-
-TEST(Histogram, WeightedAdd)
-{
-    Histogram hist(4, 4);
-    hist.add(5, 10);
-    EXPECT_EQ(hist.binWeight(1), 10u);
-    EXPECT_EQ(hist.totalWeight(), 10u);
-}
-
-TEST(Histogram, BinLowerEdges)
-{
-    const Histogram hist(8, 3);
-    EXPECT_EQ(hist.binLowerEdge(0), 0u);
-    EXPECT_EQ(hist.binLowerEdge(2), 16u);
-    EXPECT_EQ(hist.binCount(), 3u);
-}
-
-TEST(Histogram, InvalidConstructionPanics)
-{
-    EXPECT_THROW(Histogram(0, 4), PanicError);
-    EXPECT_THROW(Histogram(4, 0), PanicError);
-}
-
-TEST(Histogram, OutOfRangeQueriesPanic)
-{
-    Histogram hist(4, 2);
-    EXPECT_THROW(hist.binWeight(2), PanicError);
-    EXPECT_THROW(hist.binLowerEdge(2), PanicError);
 }
 
 } // namespace

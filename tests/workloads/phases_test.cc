@@ -55,14 +55,6 @@ TEST(RandomWrite, StaysInRegionAndAligned)
     }
 }
 
-TEST(RandomRead, ProducesRequestedCount)
-{
-    TraceBuilder builder("t");
-    Rng rng(2);
-    randomRead(builder, rng, {0, 640}, 50, 8);
-    EXPECT_EQ(builder.take().size(), 50u);
-}
-
 TEST(MisorderedWrite, DescendingReversesIoOrder)
 {
     TraceBuilder builder("t");
@@ -193,19 +185,6 @@ TEST(InterleavedStreamWrite, SingleStreamIsSequential)
     const trace::Trace trace = builder.take();
     for (std::size_t i = 1; i < trace.size(); ++i)
         EXPECT_EQ(trace[i].extent.start, trace[i - 1].extent.end());
-}
-
-TEST(TemporalReplayRead, ReplaysInOrder)
-{
-    TraceBuilder builder("t");
-    const std::vector<SectorExtent> recent{{50, 4}, {10, 2}, {99, 8}};
-    temporalReplayRead(builder, recent);
-    const trace::Trace trace = builder.take();
-    ASSERT_EQ(trace.size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i) {
-        EXPECT_TRUE(trace[i].isRead());
-        EXPECT_EQ(trace[i].extent, recent[i]);
-    }
 }
 
 TEST(HotSpotReader, ReadsAreChunkAligned)
