@@ -28,7 +28,6 @@
 
 #include "stl/testing/crash_harness.h"
 #include "sweep/cli.h"
-#include "sweep/report.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
 
@@ -93,7 +92,7 @@ main(int argc, char **argv)
         if (!result.ok())
             std::cout << "  " << result.failure << "\n";
         json << "    {\"cell\": \""
-             << sweep::jsonEscape(cell.label())
+             << telemetry::jsonEscape(cell.label())
              << "\", \"ok\": " << (result.ok() ? "true" : "false")
              << ", \"crashes\": " << result.crashesRun
              << ", \"tornTails\": " << result.tornTails
@@ -104,7 +103,7 @@ main(int argc, char **argv)
              << result.stateDigest << std::dec << "\"";
         if (!result.ok())
             json << ", \"failure\": \""
-                 << sweep::jsonEscape(result.failure) << "\"";
+                 << telemetry::jsonEscape(result.failure) << "\"";
         json << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
     }
     json << "  ],\n  \"ok\": " << (all_ok ? "true" : "false")

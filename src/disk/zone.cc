@@ -24,7 +24,6 @@ toString(ZoneCondition condition)
     switch (condition) {
       case ZoneCondition::Empty: return "empty";
       case ZoneCondition::ImplicitOpen: return "implicit-open";
-      case ZoneCondition::ExplicitOpen: return "explicit-open";
       case ZoneCondition::Closed: return "closed";
       case ZoneCondition::Full: return "full";
       case ZoneCondition::ReadOnly: return "read-only";
@@ -39,12 +38,8 @@ toString(DeviceErrc errc)
     switch (errc) {
       case DeviceErrc::WritePointerViolation:
         return "WP_VIOLATION";
-      case DeviceErrc::TooManyOpenZones:
-        return "TOO_MANY_OPEN_ZONES";
       case DeviceErrc::ZoneReadOnly: return "ZONE_READ_ONLY";
       case DeviceErrc::ZoneOffline: return "ZONE_OFFLINE";
-      case DeviceErrc::InvalidTransition:
-        return "INVALID_TRANSITION";
       case DeviceErrc::TransientMediaError:
         return "TRANSIENT_MEDIA_ERROR";
       case DeviceErrc::GrownDefect: return "GROWN_DEFECT";
@@ -63,11 +58,8 @@ statusCodeOf(DeviceErrc errc)
       case DeviceErrc::ZoneOffline:
       case DeviceErrc::PowerLoss:
         return StatusCode::DataLoss;
-      case DeviceErrc::TooManyOpenZones:
-        return StatusCode::ResourceExhausted;
       case DeviceErrc::WritePointerViolation:
       case DeviceErrc::ZoneReadOnly:
-      case DeviceErrc::InvalidTransition:
         return StatusCode::FailedPrecondition;
     }
     return StatusCode::Internal;
@@ -226,13 +218,14 @@ ZoneSet::setCondition(Zone &zone, ZoneCondition next)
     }
 }
 
-Status
+void
 ZoneSet::acquireOpenSlot()
 {
     if (openCount_ < layout_.maxOpenZones)
-        return Status();
-    // At the limit: evict the least recently opened implicitly
-    // open zone, the way a drive's zone resources behave.
+        return;
+    // At the limit: close the least recently opened zone, the way
+    // a drive's zone resources behave. Every open zone is
+    // implicitly open, so there always is one.
     Zone *victim = nullptr;
     for (auto &zone : zones_) {
         if (zone.condition != ZoneCondition::ImplicitOpen)
@@ -241,138 +234,27 @@ ZoneSet::acquireOpenSlot()
             zone.openStamp < victim->openStamp)
             victim = &zone;
     }
-    if (victim == nullptr)
-        return deviceError(
-            DeviceErrc::TooManyOpenZones,
-            "open-zone limit " +
-                std::to_string(layout_.maxOpenZones) +
-                " reached and every open zone is explicitly open");
     setCondition(*victim,
                  victim->writePointer > victim->start
                      ? ZoneCondition::Closed
                      : ZoneCondition::Empty);
     ++implicitCloses_;
-    return Status();
-}
-
-Status
-ZoneSet::open(std::size_t index, bool explicit_open)
-{
-    Zone &zone = zoneAt(index);
-    if (zone.type == ZoneType::Conventional)
-        return deviceError(DeviceErrc::InvalidTransition,
-                           zoneContext(index, zone) +
-                               ": open undefined for "
-                               "conventional zones");
-    switch (zone.condition) {
-    case ZoneCondition::ReadOnly:
-    case ZoneCondition::Offline:
-        return degradedZoneError(index, zone, "open");
-    case ZoneCondition::Full:
-        return deviceError(DeviceErrc::InvalidTransition,
-                           zoneContext(index, zone) +
-                               ": cannot open a full zone");
-    case ZoneCondition::ExplicitOpen:
-        return Status(); // idempotent
-    case ZoneCondition::ImplicitOpen:
-        // Promotion keeps the already-held slot.
-        if (explicit_open)
-            zone.condition = ZoneCondition::ExplicitOpen;
-        return Status();
-    case ZoneCondition::Empty:
-    case ZoneCondition::Closed: {
-        const Status slot = acquireOpenSlot();
-        if (!slot.ok())
-            return slot;
-        setCondition(zone, explicit_open
-                               ? ZoneCondition::ExplicitOpen
-                               : ZoneCondition::ImplicitOpen);
-        return Status();
-    }
-    }
-    return internalError("ZoneSet::open: unreachable");
-}
-
-Status
-ZoneSet::close(std::size_t index)
-{
-    Zone &zone = zoneAt(index);
-    if (zone.type == ZoneType::Conventional)
-        return deviceError(DeviceErrc::InvalidTransition,
-                           zoneContext(index, zone) +
-                               ": close undefined for "
-                               "conventional zones");
-    switch (zone.condition) {
-    case ZoneCondition::ReadOnly:
-    case ZoneCondition::Offline:
-        return degradedZoneError(index, zone, "close");
-    case ZoneCondition::Empty:
-    case ZoneCondition::Full:
-        return deviceError(DeviceErrc::InvalidTransition,
-                           zoneContext(index, zone) +
-                               ": close requires an open zone");
-    case ZoneCondition::Closed:
-        return Status(); // idempotent
-    case ZoneCondition::ImplicitOpen:
-    case ZoneCondition::ExplicitOpen:
-        setCondition(zone, zone.writePointer > zone.start
-                               ? ZoneCondition::Closed
-                               : ZoneCondition::Empty);
-        return Status();
-    }
-    return internalError("ZoneSet::close: unreachable");
-}
-
-Status
-ZoneSet::finish(std::size_t index)
-{
-    Zone &zone = zoneAt(index);
-    if (zone.type == ZoneType::Conventional)
-        return deviceError(DeviceErrc::InvalidTransition,
-                           zoneContext(index, zone) +
-                               ": finish undefined for "
-                               "conventional zones");
-    switch (zone.condition) {
-    case ZoneCondition::ReadOnly:
-    case ZoneCondition::Offline:
-        return degradedZoneError(index, zone, "finish");
-    case ZoneCondition::Full:
-        return Status(); // idempotent
-    case ZoneCondition::Empty:
-    case ZoneCondition::ImplicitOpen:
-    case ZoneCondition::ExplicitOpen:
-    case ZoneCondition::Closed:
-        zone.writePointer = zone.end();
-        setCondition(zone, ZoneCondition::Full);
-        return Status();
-    }
-    return internalError("ZoneSet::finish: unreachable");
 }
 
 Status
 ZoneSet::reset(std::size_t index)
 {
     Zone &zone = zoneAt(index);
-    if (zone.type == ZoneType::Conventional)
-        return deviceError(DeviceErrc::InvalidTransition,
-                           zoneContext(index, zone) +
-                               ": reset undefined for "
-                               "conventional zones");
-    switch (zone.condition) {
-    case ZoneCondition::ReadOnly:
-    case ZoneCondition::Offline:
+    panicIf(zone.type == ZoneType::Conventional,
+            "ZoneSet::reset: a conventional zone has no write "
+            "pointer");
+    if (zone.condition == ZoneCondition::ReadOnly ||
+        zone.condition == ZoneCondition::Offline)
         return degradedZoneError(index, zone, "reset");
-    case ZoneCondition::Empty:
-    case ZoneCondition::ImplicitOpen:
-    case ZoneCondition::ExplicitOpen:
-    case ZoneCondition::Closed:
-    case ZoneCondition::Full:
-        zone.writePointer = zone.start;
-        setCondition(zone, ZoneCondition::Empty);
-        ++resets_;
-        return Status();
-    }
-    return internalError("ZoneSet::reset: unreachable");
+    zone.writePointer = zone.start;
+    setCondition(zone, ZoneCondition::Empty);
+    ++resets_;
+    return Status();
 }
 
 Status
@@ -408,9 +290,7 @@ ZoneSet::write(std::size_t index, const SectorExtent &piece)
     }
 
     if (!zone.open()) {
-        const Status slot = acquireOpenSlot();
-        if (!slot.ok())
-            return slot;
+        acquireOpenSlot();
         setCondition(zone, ZoneCondition::ImplicitOpen);
     } else {
         zone.openStamp = ++clock_;

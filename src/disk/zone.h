@@ -5,10 +5,11 @@
  * Real SMR drives are not a flat address space: they expose zones
  * with a type (conventional, sequential-write-preferred,
  * sequential-write-required), a condition (EMPTY, IMPLICIT_OPEN,
- * EXPLICIT_OPEN, CLOSED, FULL, READ_ONLY, OFFLINE), a per-zone
- * write pointer, and a bound on how many zones may be open at once.
- * ZoneSet models exactly that contract: every zone-management op
- * (open/close/finish/reset) and every write is checked against the
+ * CLOSED, FULL, READ_ONLY, OFFLINE), a per-zone write pointer, and
+ * a bound on how many zones may be open at once. ZoneSet models
+ * the part of that contract the translation layers drive: writes,
+ * which open zones implicitly, and the write-pointer reset a log
+ * issues when it reuses a zone. Each is checked against the
  * current condition, and each illegal pairing returns a typed
  * Status from the device error taxonomy below — never a crash, so
  * fault sweeps can drive the machine through every corner.
@@ -48,12 +49,12 @@ enum class ZoneType : std::uint8_t
     SequentialWriteRequired,
 };
 
-/** ZBC zone conditions. */
+/** ZBC zone conditions. EXPLICIT_OPEN is left out: no layer issues
+ *  OPEN ZONE, so a zone opens only implicitly, by a write. */
 enum class ZoneCondition : std::uint8_t
 {
     Empty = 0,
     ImplicitOpen,
-    ExplicitOpen,
     Closed,
     Full,
     ReadOnly, ///< grown defect: data readable, writes refused
@@ -61,7 +62,7 @@ enum class ZoneCondition : std::uint8_t
 };
 
 /** Number of ZoneCondition values (census array size). */
-constexpr std::size_t kZoneConditionCount = 7;
+constexpr std::size_t kZoneConditionCount = 6;
 
 /** Printable name of a ZoneType ("conv", "swp", "swr"). */
 const char *toString(ZoneType type);
@@ -80,19 +81,11 @@ enum class DeviceErrc : std::uint8_t
     /** A write missed the zone's write pointer (SWR). */
     WritePointerViolation,
 
-    /** Open-zone limit reached and nothing implicitly open to
-     *  evict. */
-    TooManyOpenZones,
-
     /** A write touched a READ_ONLY zone (grown defect). */
     ZoneReadOnly,
 
     /** Any I/O touched an OFFLINE zone. */
     ZoneOffline,
-
-    /** A zone-management op is undefined for the zone's
-     *  (type, condition) pair. */
-    InvalidTransition,
 
     /** A transient media error; the same read may succeed on
      *  retry. */
@@ -113,8 +106,7 @@ const char *toString(DeviceErrc errc);
 /**
  * The canonical StatusCode a DeviceErrc surfaces as:
  * TransientMediaError → Unavailable, GrownDefect / ZoneOffline /
- * PowerLoss → DataLoss, TooManyOpenZones → ResourceExhausted,
- * everything else → FailedPrecondition.
+ * PowerLoss → DataLoss, everything else → FailedPrecondition.
  */
 StatusCode statusCodeOf(DeviceErrc errc);
 
@@ -145,8 +137,7 @@ struct Zone
     bool
     open() const
     {
-        return condition == ZoneCondition::ImplicitOpen ||
-               condition == ZoneCondition::ExplicitOpen;
+        return condition == ZoneCondition::ImplicitOpen;
     }
 };
 
@@ -159,7 +150,7 @@ struct ZoneLayout
     /** Type applied to every zone. */
     ZoneType type = ZoneType::SequentialWriteRequired;
 
-    /** Max zones in IMPLICIT_OPEN or EXPLICIT_OPEN at once. */
+    /** Max zones in IMPLICIT_OPEN at once. */
     std::uint32_t maxOpenZones = 8;
 
     /**
@@ -174,10 +165,11 @@ struct ZoneLayout
 };
 
 /**
- * The zone state machine. All mutating entry points return a typed
- * Status and leave the machine unchanged on error, so a caller can
- * probe illegal (type × condition × op) pairs without corrupting
- * state. Not thread-safe: one ZoneSet belongs to one replay.
+ * The zone state machine. Writes and resets return a typed Status
+ * and leave the machine unchanged on error, so a caller can probe
+ * illegal (type × condition × op) pairs without corrupting state;
+ * only a reset of a conventional zone, a caller bug, panics. Not
+ * thread-safe: one ZoneSet belongs to one replay.
  */
 class ZoneSet
 {
@@ -205,27 +197,17 @@ class ZoneSet
     void fillTo(std::uint64_t end_sector);
 
     /**
-     * Open a zone (ZBC OPEN ZONE when `explicit_open`, otherwise
-     * the implicit open a write performs). May implicitly close the
-     * least recently opened IMPLICIT_OPEN zone to stay within the
-     * open limit; fails TooManyOpenZones when nothing can be
-     * evicted.
+     * ZBC RESET WRITE POINTER: back to EMPTY. A conventional zone
+     * has no write pointer, so resetting one panics.
      */
-    Status open(std::size_t index, bool explicit_open);
-
-    /** ZBC CLOSE ZONE: open → CLOSED (EMPTY when nothing written). */
-    Status close(std::size_t index);
-
-    /** ZBC FINISH ZONE: write pointer to the end, condition FULL. */
-    Status finish(std::size_t index);
-
-    /** ZBC RESET WRITE POINTER: back to EMPTY. */
     Status reset(std::size_t index);
 
     /**
      * A media write of `piece`, which must lie entirely inside the
      * zone (callers split at zone boundaries). Enforces the zone
-     * type's write policy, implicitly opening the zone as needed.
+     * type's write policy, implicitly opening the zone as needed
+     * and, at the open limit, implicitly closing the least recently
+     * opened zone.
      */
     Status write(std::size_t index, const SectorExtent &piece);
 
@@ -246,7 +228,7 @@ class ZoneSet
      */
     void moveWritePointer(std::size_t index, std::uint64_t sector);
 
-    /** Zones currently IMPLICIT_OPEN or EXPLICIT_OPEN. */
+    /** Zones currently IMPLICIT_OPEN. */
     std::uint32_t openZones() const { return openCount_; }
 
     /** Successful reset ops over the set's lifetime. */
@@ -272,12 +254,9 @@ class ZoneSet
     /** Move a zone to `next`, keeping openCount_ consistent. */
     void setCondition(Zone &zone, ZoneCondition next);
 
-    /**
-     * Take an open slot, implicitly closing the LRU IMPLICIT_OPEN
-     * zone when the set is at its limit. TooManyOpenZones when
-     * every open zone is explicitly open.
-     */
-    Status acquireOpenSlot();
+    /** Take an open slot, implicitly closing the least recently
+     *  opened zone when the set is at its limit. */
+    void acquireOpenSlot();
 
     ZoneLayout layout_;
     std::vector<Zone> zones_;

@@ -248,7 +248,7 @@ ZonedDevice::writePiece(std::size_t index,
     // A write rewinding to the start of a used sequential zone is
     // how the log layers reuse a reclaimed segment: model it as
     // RESET WRITE POINTER + write, the way a ZBC host would issue
-    // it.
+    // it. A conventional zone has no pointer to reset.
     if (zone.type != ZoneType::Conventional &&
         piece.start == zone.start &&
         zone.writePointer != zone.start &&
@@ -270,9 +270,9 @@ ZonedDevice::writePiece(std::size_t index,
             ++out.wpViolations;
     }
     if (!written.ok()) {
-        // READ_ONLY/OFFLINE zone (or no open slot): the write is
-        // refused and the data is lost — a counted, typed partial
-        // failure, never an abort.
+        // READ_ONLY/OFFLINE zone: the write is refused and the
+        // data is lost — a counted, typed partial failure, never an
+        // abort.
         out.failedSectors += clampToU32(piece.count);
         return out;
     }

@@ -5,112 +5,6 @@
 namespace logseek::stl
 {
 
-namespace
-{
-
-constexpr std::size_t kInitialSlots = 64; // power of two
-
-/** splitmix64 finalizer over the packed (lba, count) key. */
-std::uint64_t
-mixKey(Lba lba, SectorCount count)
-{
-    std::uint64_t x = (lba << 16) ^ (lba >> 48) ^ count;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
-
-} // namespace
-
-Defragmenter::AccessCountMap::AccessCountMap()
-    : slots_(kInitialSlots)
-{
-}
-
-std::size_t
-Defragmenter::AccessCountMap::slotFor(Lba lba,
-                                      SectorCount count) const
-{
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i =
-        static_cast<std::size_t>(mixKey(lba, count)) & mask;
-    while (slots_[i].used &&
-           (slots_[i].lba != lba || slots_[i].count != count))
-        i = (i + 1) & mask;
-    return i;
-}
-
-void
-Defragmenter::AccessCountMap::grow()
-{
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, Slot{});
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot &slot : old) {
-        if (!slot.used)
-            continue;
-        std::size_t i = static_cast<std::size_t>(
-                            mixKey(slot.lba, slot.count)) &
-                        mask;
-        while (slots_[i].used)
-            i = (i + 1) & mask;
-        slots_[i] = slot;
-    }
-}
-
-std::uint32_t
-Defragmenter::AccessCountMap::increment(Lba lba, SectorCount count)
-{
-    // Keep the load factor below 1/2 so probe chains stay short.
-    if ((size_ + 1) * 2 > slots_.size())
-        grow();
-    Slot &slot = slots_[slotFor(lba, count)];
-    if (!slot.used) {
-        slot.lba = lba;
-        slot.count = count;
-        slot.hits = 0;
-        slot.used = true;
-        ++size_;
-    }
-    return ++slot.hits;
-}
-
-void
-Defragmenter::AccessCountMap::erase(Lba lba, SectorCount count)
-{
-    std::size_t i = slotFor(lba, count);
-    if (!slots_[i].used)
-        return;
-    slots_[i].used = false;
-    --size_;
-
-    // Backward-shift deletion: re-seat the probe chain following
-    // the hole so lookups never lose entries to a gap.
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t j = i;
-    while (true) {
-        j = (j + 1) & mask;
-        if (!slots_[j].used)
-            return;
-        const std::size_t home =
-            static_cast<std::size_t>(
-                mixKey(slots_[j].lba, slots_[j].count)) &
-            mask;
-        // Shift j into the hole unless its home lies in (i, j]
-        // (cyclically), in which case the chain still reaches it.
-        const bool reachable = i < j ? (home > i && home <= j)
-                                     : (home > i || home <= j);
-        if (!reachable) {
-            slots_[i] = slots_[j];
-            slots_[j].used = false;
-            i = j;
-        }
-    }
-}
-
 Defragmenter::Defragmenter(const DefragConfig &config)
     : config_(config)
 {
@@ -128,11 +22,11 @@ Defragmenter::onRead(const SectorExtent &logical, std::size_t fragments)
         return false;
 
     if (config_.minAccesses > 1) {
-        const std::uint32_t seen =
-            accessCounts_.increment(logical.start, logical.count);
+        const auto key = std::make_pair(logical.start, logical.count);
+        const std::uint32_t seen = ++accessCounts_[key];
         if (seen < config_.minAccesses)
             return false;
-        accessCounts_.erase(logical.start, logical.count);
+        accessCounts_.erase(key);
     }
 
     ++rewrites_;

@@ -15,7 +15,8 @@
 #define LOGSEEK_STL_DEFRAG_H
 
 #include <cstdint>
-#include <vector>
+#include <map>
+#include <utility>
 
 #include "util/extent.h"
 
@@ -62,51 +63,13 @@ class Defragmenter
     std::size_t trackedRanges() const { return accessCounts_.size(); }
 
   private:
-    /**
-     * Open-addressing hash map from an LBA range to its
-     * fragmented-access count: flat slot array, linear probing,
-     * backward-shift deletion — no per-entry allocation on the
-     * per-read path (the old std::map allocated a node per tracked
-     * range). The packed 64-bit (lba << 16 | count) key only seeds
-     * the probe sequence; equality compares both fields exactly, so
-     * trigger decisions are identical to the ordered-map original
-     * for any key, including counts that overflow 16 bits.
-     */
-    class AccessCountMap
-    {
-      public:
-        AccessCountMap();
-
-        /** Increment and return the count of range (lba, count). */
-        std::uint32_t increment(Lba lba, SectorCount count);
-
-        /** Forget the range (no-op when untracked). */
-        void erase(Lba lba, SectorCount count);
-
-        std::size_t size() const { return size_; }
-
-      private:
-        struct Slot
-        {
-            Lba lba = 0;
-            SectorCount count = 0;
-            std::uint32_t hits = 0;
-            bool used = false;
-        };
-
-        std::size_t slotFor(Lba lba, SectorCount count) const;
-        void grow();
-
-        std::vector<Slot> slots_;
-        std::size_t size_ = 0;
-    };
-
     DefragConfig config_;
     std::uint64_t rewrites_ = 0;
 
-    /** Fragmented-access counts; only consulted when
-     *  minAccesses > 1. */
-    AccessCountMap accessCounts_;
+    /** Fragmented-access count per (lba, count) range; only
+     *  consulted when minAccesses > 1, so it stays empty (and
+     *  allocates nothing) otherwise. */
+    std::map<std::pair<Lba, SectorCount>, std::uint32_t> accessCounts_;
 };
 
 } // namespace logseek::stl

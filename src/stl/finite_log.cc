@@ -27,8 +27,7 @@ packAux(std::uint32_t low, std::uint32_t stream)
 FiniteLogStructuredLayer::FiniteLogStructuredLayer(
     Pba identity_end, const FiniteLogConfig &config)
     : config_(config), logStart_(identity_end),
-      segmentSectors_(bytesToSectors(config.segmentBytes)),
-      policy_(gc::makeCleaningPolicy(config.gc.policy))
+      segmentSectors_(bytesToSectors(config.segmentBytes))
 {
     panicIf(segmentSectors_ == 0,
             "FiniteLogStructuredLayer: segment size must be at "
@@ -66,7 +65,8 @@ FiniteLogStructuredLayer::FiniteLogStructuredLayer(
 
     auto &registry = telemetry::Registry::global();
     const std::string policy_label =
-        std::string("policy=\"") + policy_->name() + "\"";
+        std::string("policy=\"") + gc::toString(config.gc.policy) +
+        "\"";
     gcReclaims_ =
         &registry.counter("gc_reclaims_total", policy_label);
     gcMovedBytes_ =
@@ -305,15 +305,13 @@ FiniteLogStructuredLayer::maintenance()
 {
     std::vector<MediaAccess> accesses;
     // Hysteresis: cleaning starts when the reserve is reached and
-    // runs until the target is restored (policy-overridable).
-    if (!policy_->startCleaning(freeCount_,
-                                config_.cleanReserveSegments))
+    // runs until the target is restored.
+    if (freeCount_ > config_.cleanReserveSegments)
         return accesses;
-    while (policy_->continueCleaning(freeCount_,
-                                     config_.cleanTargetSegments)) {
+    while (freeCount_ < config_.cleanTargetSegments) {
         const std::optional<std::uint32_t> selected =
-            policy_->selectVictim(
-                {segments_, segmentSectors_, tick_});
+            gc::selectVictim(config_.gc.policy,
+                             {segments_, segmentSectors_, tick_});
         if (!selected) {
             // All closed segments are fully live: compaction has
             // nothing to reclaim right now. That is fine as long
@@ -347,10 +345,11 @@ FiniteLogStructuredLayer::maintenance()
             victimScratch_.push_back({pba, lba, count});
         });
 
-        // Zone-granular policies stream the whole victim zone in
-        // one sequential read (a single seek) instead of seeking
+        // The zone-granular policy streams the whole victim zone
+        // in one sequential read (a single seek) instead of seeking
         // to each live extent individually.
-        const bool whole_zone = policy_->wholeZoneRead();
+        const bool whole_zone =
+            config_.gc.policy == gc::CleaningPolicyKind::ZoneGranular;
         if (whole_zone && victim_live > 0) {
             accesses.push_back(
                 {victim_extent, trace::IoType::Read});

@@ -1,7 +1,7 @@
 /**
  * @file
- * Finite-capacity log-structured translation layer with pluggable
- * garbage collection and multi-stream placement.
+ * Finite-capacity log-structured translation layer with a choice of
+ * garbage-collection policies and multi-stream placement.
  *
  * The paper's model assumes an infinite disk — fair for archival
  * systems that never overwrite — but §I and §IV-A note that on a
@@ -11,7 +11,7 @@
  * This layer makes that cost measurable: the log lives in a fixed
  * physical region divided into segments; writes fill each placement
  * stream's open segment; when free segments run low, the configured
- * CleaningPolicy picks victims whose live extents are read and
+ * cleaning policy picks victims whose live extents are read and
  * rewritten at the coldest stream's frontier (all visible to the
  * simulator as cleaning traffic via maintenance()).
  *
@@ -25,7 +25,6 @@
 #define LOGSEEK_STL_FINITE_LOG_H
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -57,7 +56,7 @@ struct FiniteLogConfig
 };
 
 /**
- * Segmented log with pluggable victim selection. Identity-placed
+ * Segmented log with configurable victim selection. Identity-placed
  * data (never written during the run) lives below the log region
  * and is never cleaned, matching the paper's placement for data
  * written before trace collection began.
@@ -105,11 +104,10 @@ class FiniteLogStructuredLayer : public TranslationLayer
     mountFromJournal(const SegmentJournal &journal) override;
 
     /**
-     * Garbage collection: runs while the policy's hysteresis says
-     * to (by default, free segments at or below the reserve until
-     * the target is restored), returning the cleaning
-     * reads/rewrites. fatal() if the log is overcommitted (no
-     * cleanable victim can make progress).
+     * Garbage collection: once free segments fall to the reserve,
+     * reclaims victims until the target is restored, returning the
+     * cleaning reads/rewrites. fatal() if the log is overcommitted
+     * (no cleanable victim can make progress).
      */
     std::vector<MediaAccess> maintenance() override;
 
@@ -173,8 +171,8 @@ class FiniteLogStructuredLayer : public TranslationLayer
         return segments_[i].open;
     }
 
-    /** The active cleaning policy. */
-    const gc::CleaningPolicy &policy() const { return *policy_; }
+    /** The configured cleaning policy. */
+    gc::CleaningPolicyKind policy() const { return config_.gc.policy; }
 
     /** Number of placement streams. */
     std::uint32_t
@@ -333,9 +331,6 @@ class FiniteLogStructuredLayer : public TranslationLayer
     std::uint64_t tick_ = 0;
     std::uint64_t gcVictimLiveBytes_ = 0;
     std::uint64_t gcVictimSpanBytes_ = 0;
-
-    /** Victim selector + hysteresis; never null. */
-    std::unique_ptr<gc::CleaningPolicy> policy_;
 
     /** Host-write classifier; engaged only when streams > 1. */
     std::optional<gc::StreamRouter> router_;

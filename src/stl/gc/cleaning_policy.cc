@@ -32,35 +32,37 @@ namespace
  * against ReferenceFiniteLog — change nothing here without updating
  * that pin.
  */
-class GreedyPolicy final : public CleaningPolicy
+std::optional<std::uint32_t>
+greedyScan(const SegmentStateView &view)
 {
-  public:
-    const char *name() const override { return "greedy"; }
-
-    std::optional<std::uint32_t>
-    selectVictim(const SegmentStateView &view) const override
-    {
-        std::uint32_t victim = 0;
-        SectorCount best = view.segmentSectors;
-        bool found = false;
-        for (std::uint32_t i = 0; i < view.segments.size(); ++i) {
-            const SegmentInfo &segment = view.segments[i];
-            if (segment.free || segment.open)
-                continue;
-            if (segment.live < best) {
-                best = segment.live;
-                victim = i;
-                found = true;
-            }
+    std::uint32_t victim = 0;
+    SectorCount best = view.segmentSectors;
+    bool found = false;
+    for (std::uint32_t i = 0; i < view.segments.size(); ++i) {
+        const SegmentInfo &segment = view.segments[i];
+        if (segment.free || segment.open)
+            continue;
+        if (segment.live < best) {
+            best = segment.live;
+            victim = i;
+            found = true;
         }
-        if (!found || best >= view.segmentSectors)
-            return std::nullopt;
-        return victim;
     }
-};
+    if (!found || best >= view.segmentSectors)
+        return std::nullopt;
+    return victim;
+}
 
 /**
- * The cost-benefit scan in integers of type Word: benefit/cost =
+ * Sprite-LFS cost-benefit cleaning: score each closed segment by
+ * age x (1 - u) / (1 + u), where u is the live fraction and age the
+ * logical ticks since the segment's last write. Unlike greedy this
+ * will reclaim a moderately utilized segment that has been stable
+ * for a long time in preference to a just-written emptier one — the
+ * stable one's survivors are likely cold and won't be moved again,
+ * which is what lowers write amplification under hot/cold skew.
+ *
+ * The scan runs in integers of type Word: benefit/cost =
  * age * (S - live) / (S + live), compared cross-multiplied so no
  * division rounding enters the victim choice. Word must hold every
  * product the scan forms; see productsFit64.
@@ -116,93 +118,62 @@ productsFit64(const SegmentStateView &view)
 }
 
 /**
- * Sprite-LFS cost-benefit cleaning: score each closed segment by
- * age x (1 - u) / (1 + u), where u is the live fraction and age the
- * logical ticks since the segment's last write. Unlike greedy this
- * will reclaim a moderately utilized segment that has been stable
- * for a long time in preference to a just-written emptier one — the
- * stable one's survivors are likely cold and won't be moved again,
- * which is what lowers write amplification under hot/cold skew.
- *
- * Scoring is exact integer arithmetic (see costBenefitScan). The
- * scan runs in 64-bit words while its products fit, which is every
- * replay short of about 2^64 / 2S^2 appends, and in 128-bit words
- * otherwise; both widths pick the same victim.
- */
-class CostBenefitPolicy final : public CleaningPolicy
-{
-  public:
-    const char *name() const override { return "cost-benefit"; }
-
-    std::optional<std::uint32_t>
-    selectVictim(const SegmentStateView &view) const override
-    {
-        return productsFit64(view)
-                   ? costBenefitScan<std::uint64_t>(view)
-                   : costBenefitScan<unsigned __int128>(view);
-    }
-};
-
-/**
  * SMORE-style zone-granular reclamation. Victim choice is greedy
  * over whole zones (segments are zone-sized in the finite log), but
- * the reclaim I/O pattern differs: the whole victim zone is streamed
- * in one sequential read — one seek — rather than seeking to each
- * live extent, then the survivors are rewritten at the frontier and
- * the zone is RESET. Ties on live data break toward the older zone,
- * then the lower index, mirroring SMORE's preference for stable
- * zones.
+ * the reclaim I/O pattern differs: the layer streams the whole
+ * victim zone in one sequential read — one seek — rather than
+ * seeking to each live extent, then rewrites the survivors at the
+ * frontier and RESETs the zone. Ties on live data break toward
+ * the older zone, then the lower index, mirroring SMORE's
+ * preference for stable zones.
  */
-class ZoneGranularPolicy final : public CleaningPolicy
+std::optional<std::uint32_t>
+zoneGranularScan(const SegmentStateView &view)
 {
-  public:
-    const char *name() const override { return "zone-granular"; }
-
-    std::optional<std::uint32_t>
-    selectVictim(const SegmentStateView &view) const override
-    {
-        std::uint32_t victim = 0;
-        SectorCount best = view.segmentSectors;
-        std::uint64_t best_age = 0;
-        bool found = false;
-        for (std::uint32_t i = 0; i < view.segments.size(); ++i) {
-            const SegmentInfo &segment = view.segments[i];
-            if (segment.free || segment.open)
-                continue;
-            const SectorCount live = segment.live;
-            if (live >= view.segmentSectors)
-                continue;
-            const std::uint64_t age = view.now - segment.lastWrite;
-            if (!found || live < best ||
-                (live == best && age > best_age)) {
-                best = live;
-                best_age = age;
-                victim = i;
-                found = true;
-            }
+    std::uint32_t victim = 0;
+    SectorCount best = view.segmentSectors;
+    std::uint64_t best_age = 0;
+    bool found = false;
+    for (std::uint32_t i = 0; i < view.segments.size(); ++i) {
+        const SegmentInfo &segment = view.segments[i];
+        if (segment.free || segment.open)
+            continue;
+        const SectorCount live = segment.live;
+        if (live >= view.segmentSectors)
+            continue;
+        const std::uint64_t age = view.now - segment.lastWrite;
+        if (!found || live < best ||
+            (live == best && age > best_age)) {
+            best = live;
+            best_age = age;
+            victim = i;
+            found = true;
         }
-        if (!found)
-            return std::nullopt;
-        return victim;
     }
-
-    bool wholeZoneRead() const override { return true; }
-};
+    if (!found)
+        return std::nullopt;
+    return victim;
+}
 
 } // namespace
 
-std::unique_ptr<CleaningPolicy>
-makeCleaningPolicy(CleaningPolicyKind kind)
+std::optional<std::uint32_t>
+selectVictim(CleaningPolicyKind kind, const SegmentStateView &view)
 {
     switch (kind) {
     case CleaningPolicyKind::Greedy:
-        return std::make_unique<GreedyPolicy>();
+        return greedyScan(view);
     case CleaningPolicyKind::CostBenefit:
-        return std::make_unique<CostBenefitPolicy>();
+        // 64-bit words while the products fit, which is every
+        // replay short of about 2^64 / 2S^2 appends, and 128-bit
+        // words otherwise; both widths pick the same victim.
+        return productsFit64(view)
+                   ? costBenefitScan<std::uint64_t>(view)
+                   : costBenefitScan<unsigned __int128>(view);
     case CleaningPolicyKind::ZoneGranular:
-        return std::make_unique<ZoneGranularPolicy>();
+        return zoneGranularScan(view);
     }
-    fatal("makeCleaningPolicy: unknown cleaning policy kind");
+    fatal("selectVictim: unknown cleaning policy kind");
 }
 
 } // namespace logseek::stl::gc

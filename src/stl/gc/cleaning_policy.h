@@ -1,13 +1,14 @@
 /**
  * @file
- * Pluggable garbage-collection policies for the finite log.
+ * Victim selection for the finite log's cleaner.
  *
  * The finite log's cleaner has two decisions: *when* to clean
- * (trigger/target hysteresis over the free-segment count) and
- * *which* closed segment to reclaim. Both live behind
- * CleaningPolicy so the layer's mechanics — moving live extents to
- * the frontier, journaling the reclaim, liveness bookkeeping — stay
- * in one place while the selection economics vary:
+ * (trigger/target hysteresis over the free-segment count, which
+ * the layer applies itself) and *which* closed segment to reclaim.
+ * The second is selectVictim, so the layer's mechanics — moving
+ * live extents to the frontier, journaling the reclaim, liveness
+ * bookkeeping — stay in one place while the selection economics
+ * vary with the configured CleaningPolicyKind:
  *
  *  - greedy: the segment with the least live data, the layer's
  *    historical behaviour, pinned byte-identical by a differential
@@ -17,22 +18,20 @@
  *    ones and lowers write amplification under hot/cold skew. It
  *    scores in exact integers, in 64-bit words while every
  *    cross-multiplied product fits and in 128-bit words past that;
- *  - zone-granular: SMORE-style whole-zone reclamation that streams
- *    the victim zone in one sequential read (one seek instead of
- *    one per live extent), rewrites the live data at the frontier
- *    and resets the zone.
+ *  - zone-granular: SMORE-style whole-zone reclamation; the layer
+ *    streams the victim zone in one sequential read (one seek
+ *    instead of one per live extent), rewrites the live data at the
+ *    frontier and resets the zone.
  *
- * Policies are pure selectors over a read-only SegmentStateView,
- * one flat scan per victim; they mutate nothing and draw no
- * entropy, so every replay remains byte-identical across job
- * counts.
+ * Each kind is a pure scan over a read-only SegmentStateView, one
+ * flat pass per victim; it mutates nothing and draws no entropy, so
+ * every replay remains byte-identical across job counts.
  */
 
 #ifndef LOGSEEK_STL_GC_CLEANING_POLICY_H
 #define LOGSEEK_STL_GC_CLEANING_POLICY_H
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 
@@ -84,10 +83,9 @@ struct SegmentInfo
 };
 
 /**
- * The log's per-segment state a policy selects victims from, as
- * plain data: one flat scan per victim choice, no virtual calls.
- * Ticks are a logical clock advanced once per append, giving age
- * without wall time.
+ * The log's per-segment state a victim is selected from, as plain
+ * data: one flat scan per victim choice. Ticks are a logical clock
+ * advanced once per append, giving age without wall time.
  */
 struct SegmentStateView
 {
@@ -98,48 +96,14 @@ struct SegmentStateView
     std::uint64_t now = 0;
 };
 
-/** The victim-selection + hysteresis interface. */
-class CleaningPolicy
-{
-  public:
-    virtual ~CleaningPolicy() = default;
-
-    virtual const char *name() const = 0;
-
-    /** Hysteresis trigger: should a cleaning pass start? */
-    virtual bool
-    startCleaning(std::uint32_t free_segments,
-                  std::uint32_t reserve_segments) const
-    {
-        return free_segments <= reserve_segments;
-    }
-
-    /** Hysteresis target: should the running pass keep reclaiming? */
-    virtual bool
-    continueCleaning(std::uint32_t free_segments,
-                     std::uint32_t target_segments) const
-    {
-        return free_segments < target_segments;
-    }
-
-    /**
-     * Pick the next victim, or nullopt when no closed segment can
-     * make progress (everything is fully live). The caller decides
-     * whether nullopt is benign (above the reserve) or overcommit.
-     */
-    virtual std::optional<std::uint32_t>
-    selectVictim(const SegmentStateView &view) const = 0;
-
-    /**
-     * True when reclamation streams the whole victim zone as one
-     * sequential read instead of seeking to each live extent.
-     */
-    virtual bool wholeZoneRead() const { return false; }
-};
-
-/** Policy factory; never returns null. */
-std::unique_ptr<CleaningPolicy>
-makeCleaningPolicy(CleaningPolicyKind kind);
+/**
+ * Pick the next victim under `kind`, or nullopt when no closed
+ * segment can make progress (everything is fully live). The caller
+ * decides whether nullopt is benign (above the reserve) or
+ * overcommit.
+ */
+std::optional<std::uint32_t>
+selectVictim(CleaningPolicyKind kind, const SegmentStateView &view);
 
 } // namespace logseek::stl::gc
 

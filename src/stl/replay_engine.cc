@@ -187,7 +187,16 @@ ReplayEngine::run()
     }
     result_.staticFragments = layer_->staticFragmentCount();
     if (device_ != nullptr) {
-        result_.deviceGrownDefects = device_->stats().grownDefects;
+        const disk::DeviceStats &stats = device_->stats();
+        result_.deviceReadRetries = stats.readRetries;
+        result_.deviceRecoveredSectors = stats.recoveredSectors;
+        result_.deviceFailedReadSectors = stats.failedReadSectors;
+        result_.deviceDegradedReads = stats.degradedReads;
+        result_.deviceFailedWriteSectors = stats.failedWriteSectors;
+        result_.deviceZoneResets = stats.zoneResets;
+        result_.deviceWpViolations = stats.wpViolations;
+        result_.deviceOutOfPolicyWrites = stats.outOfPolicyWrites;
+        result_.deviceGrownDefects = stats.grownDefects;
         const auto census = device_->zones().conditionCensus();
         result_.deviceReadOnlyZones = census[static_cast<std::size_t>(
             disk::ZoneCondition::ReadOnly)];
@@ -198,8 +207,8 @@ ReplayEngine::run()
         device_->publishZoneGauges();
     }
 
-    // --paranoid: the in-memory translation state and the durable
-    // journal must agree at the end of every run.
+    // The in-memory translation state and the durable journal must
+    // agree at the end of the run.
     if (config_.paranoidFsck && config_.journal != nullptr) {
         const FsckReport fsck =
             Fsck::check(*layer_, *config_.journal);
@@ -391,8 +400,7 @@ ReplayEngine::defragTrigger()
         finiteLog_->relocateInto(extent, segmentScratch_);
     else
         layer_->placeWriteInto(extent, segmentScratch_);
-    event.defragSegments.assign(segmentScratch_.begin(),
-                                segmentScratch_.end());
+    segmentScratch_.swap(event.defragSegments);
     event.defragRewrite = true;
     ++result_.defragRewrites;
     result_.defragBytes += extent.bytes();
@@ -407,8 +415,7 @@ ReplayEngine::serveWrite()
     ++result_.writes;
     result_.hostWriteBytes += event.record.extent.bytes();
     layer_->placeWriteInto(event.record.extent, segmentScratch_);
-    event.segments.assign(segmentScratch_.begin(),
-                          segmentScratch_.end());
+    segmentScratch_.swap(event.segments);
     for (const auto &segment : event.segments)
         hostAccess(segment.physical(), trace::IoType::Write);
     runMaintenance();
@@ -474,20 +481,11 @@ ReplayEngine::deviceAccess(const SectorExtent &extent,
 {
     if (type == trace::IoType::Read) {
         const disk::DeviceReadResult read = device_->read(extent);
-        result_.deviceReadRetries += read.retries;
-        result_.deviceRecoveredSectors += read.recoveredSectors;
-        result_.deviceFailedReadSectors += read.failedSectors;
-        if (read.degraded())
-            ++result_.deviceDegradedReads;
         event_.deviceRetries += read.retries;
         event_.deviceFailedSectors += read.failedSectors;
     } else {
-        const disk::DeviceWriteResult write = device_->write(extent);
-        result_.deviceZoneResets += write.zoneResets;
-        result_.deviceWpViolations += write.wpViolations;
-        result_.deviceOutOfPolicyWrites += write.outOfPolicy;
-        result_.deviceFailedWriteSectors += write.failedSectors;
-        event_.deviceFailedSectors += write.failedSectors;
+        event_.deviceFailedSectors +=
+            device_->write(extent).failedSectors;
     }
 }
 

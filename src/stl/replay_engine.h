@@ -140,7 +140,9 @@ class ReplayEngine
      */
     void cleaningAccess(const MediaAccess &access);
 
-    /** Mirror one media access through device_ (non-null). */
+    /** Mirror one media access through device_ (non-null) and
+     *  charge its outcome to event_; the device keeps the run's
+     *  totals. */
     void deviceAccess(const SectorExtent &extent, trace::IoType type);
 
     /**
@@ -197,8 +199,9 @@ class ReplayEngine
         stageLatency_;
 
     /** Reusable per-request scratch for layer results; clear()
-     *  keeps capacity, so steady-state requests do not allocate. A
-     *  read trades it with event_.segments once merged. */
+     *  keeps capacity, so steady-state requests do not allocate.
+     *  Each result is traded into event_.segments or
+     *  event_.defragSegments, not copied. */
     SegmentBuffer segmentScratch_;
 
     /** Columnar view of the records of the current pull. */

@@ -107,9 +107,11 @@ struct SimConfig
     /**
      * Run the Fsck invariant verifier after the replay (requires
      * `journal`): extent-map ↔ journal agreement, write-pointer
-     * alignment, finite-log liveness. Any violation is fatal
-     * — this is the --paranoid belt-and-suspenders mode, off by
-     * default. Does not affect results or label().
+     * alignment, finite-log liveness. Any violation is fatal. Off
+     * by default and set by no CLI flag (--paranoid adds a
+     * ValidatingObserver instead); the crash-recovery and
+     * result-digest tests turn it on. Does not affect results or
+     * label().
      */
     bool paranoidFsck = false;
 

@@ -1,6 +1,5 @@
 #include "report.h"
 
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -8,8 +7,12 @@
 #include <sstream>
 #include <vector>
 
+#include "telemetry/export.h"
+
 namespace logseek::sweep
 {
+
+using telemetry::jsonEscape;
 
 namespace
 {
@@ -87,41 +90,6 @@ csvQuote(const std::string &text)
 }
 
 } // namespace
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 void
 writeJson(std::ostream &out, const SweepResult &sweep,

@@ -22,9 +22,6 @@
 namespace logseek::sweep
 {
 
-/** Escape a string for embedding in a JSON document. */
-std::string jsonEscape(const std::string &text);
-
 /**
  * Write the sweep as a JSON document. With telemetry disabled,
  * only deterministic fields are emitted (the form the determinism

@@ -5,9 +5,11 @@
  * The core is an exhaustive table over (zone type × condition × op):
  * every legal pair must succeed and land in the documented next
  * condition, every illegal pair must return the documented typed
- * error AND leave the zone unchanged. The expectations are written
- * from the ZBC-style contract in disk/zone.h, not read back from the
- * implementation, so a drifting transition breaks a named row here.
+ * error AND leave the zone unchanged, and a reset of a conventional
+ * zone (which has no write pointer) must panic. The expectations are
+ * written from the ZBC-style contract in disk/zone.h, not read back
+ * from the implementation, so a drifting transition breaks a named
+ * row here.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "disk/zone.h"
+#include "util/logging.h"
 
 namespace logseek::disk
 {
@@ -27,10 +30,6 @@ constexpr SectorCount kZoneSectors = 128;
 /** Every operation the machine accepts. */
 enum class Op
 {
-    OpenExplicit,
-    OpenImplicit,
-    Close,
-    Finish,
     Reset,
     WriteAtWp,  ///< sequential: piece starts at the write pointer
     WriteOffWp, ///< non-sequential: piece starts mid-zone, off wp
@@ -41,10 +40,6 @@ const char *
 toString(Op op)
 {
     switch (op) {
-      case Op::OpenExplicit: return "open-explicit";
-      case Op::OpenImplicit: return "open-implicit";
-      case Op::Close: return "close";
-      case Op::Finish: return "finish";
       case Op::Reset: return "reset";
       case Op::WriteAtWp: return "write-at-wp";
       case Op::WriteOffWp: return "write-off-wp";
@@ -54,8 +49,7 @@ toString(Op op)
 }
 
 constexpr Op kAllOps[] = {
-    Op::OpenExplicit, Op::OpenImplicit, Op::Close, Op::Finish,
-    Op::Reset,        Op::WriteAtWp,    Op::WriteOffWp, Op::Read,
+    Op::Reset, Op::WriteAtWp, Op::WriteOffWp, Op::Read,
 };
 
 constexpr ZoneType kAllTypes[] = {
@@ -65,18 +59,19 @@ constexpr ZoneType kAllTypes[] = {
 };
 
 constexpr ZoneCondition kAllConditions[] = {
-    ZoneCondition::Empty,     ZoneCondition::ImplicitOpen,
-    ZoneCondition::ExplicitOpen, ZoneCondition::Closed,
-    ZoneCondition::Full,      ZoneCondition::ReadOnly,
-    ZoneCondition::Offline,
+    ZoneCondition::Empty,    ZoneCondition::ImplicitOpen,
+    ZoneCondition::Closed,   ZoneCondition::Full,
+    ZoneCondition::ReadOnly, ZoneCondition::Offline,
 };
 
 /** What one (type, condition, op) cell must do. */
 struct Expect
 {
     bool ok = false;
+    /** The op is a programming error: it panics. */
+    bool panics = false;
     /** Taxonomy tag when !ok. */
-    DeviceErrc errc = DeviceErrc::InvalidTransition;
+    DeviceErrc errc = DeviceErrc::WritePointerViolation;
     /** Condition after a successful op. */
     ZoneCondition after = ZoneCondition::Empty;
 };
@@ -84,13 +79,20 @@ struct Expect
 Expect
 pass(ZoneCondition after)
 {
-    return {true, DeviceErrc::InvalidTransition, after};
+    return {true, false, DeviceErrc::WritePointerViolation, after};
 }
 
 Expect
 fail(DeviceErrc errc)
 {
-    return {false, errc, ZoneCondition::Empty};
+    return {false, false, errc, ZoneCondition::Empty};
+}
+
+Expect
+panics()
+{
+    return {false, true, DeviceErrc::WritePointerViolation,
+            ZoneCondition::Empty};
 }
 
 /** The degraded-zone error every op shares. */
@@ -102,10 +104,7 @@ degraded(ZoneCondition condition)
                     : DeviceErrc::ZoneReadOnly);
 }
 
-/**
- * The contract, restated as data. `open_target` is the condition a
- * successful open lands in (explicit vs implicit).
- */
+/** The contract, restated as data. */
 Expect
 expectedFor(ZoneType type, ZoneCondition condition, Op op)
 {
@@ -120,43 +119,17 @@ expectedFor(ZoneType type, ZoneCondition condition, Op op)
         return pass(condition);
     }
 
-    // Conventional zones have no management surface at all.
+    // Conventional zones take writes anywhere and have no write
+    // pointer to reset: resetting one is a caller bug.
     if (type == ZoneType::Conventional) {
-        if (op == Op::WriteAtWp || op == Op::WriteOffWp) {
-            if (ro_or_offline)
-                return degraded(condition);
-            return pass(condition);
-        }
-        return fail(DeviceErrc::InvalidTransition);
+        if (op == Op::Reset)
+            return panics();
+        if (ro_or_offline)
+            return degraded(condition);
+        return pass(condition);
     }
 
-    // Sequential zones: management ops first.
     switch (op) {
-    case Op::OpenExplicit:
-    case Op::OpenImplicit: {
-        if (ro_or_offline)
-            return degraded(condition);
-        if (condition == ZoneCondition::Full)
-            return fail(DeviceErrc::InvalidTransition);
-        if (condition == ZoneCondition::ExplicitOpen)
-            return pass(ZoneCondition::ExplicitOpen);
-        return pass(op == Op::OpenExplicit
-                        ? ZoneCondition::ExplicitOpen
-                        : ZoneCondition::ImplicitOpen);
-    }
-    case Op::Close:
-        if (ro_or_offline)
-            return degraded(condition);
-        if (condition == ZoneCondition::Empty ||
-            condition == ZoneCondition::Full)
-            return fail(DeviceErrc::InvalidTransition);
-        // The harness puts wp mid-zone for open states, so a
-        // closed open zone lands CLOSED, never EMPTY.
-        return pass(ZoneCondition::Closed);
-    case Op::Finish:
-        if (ro_or_offline)
-            return degraded(condition);
-        return pass(ZoneCondition::Full);
     case Op::Reset:
         if (ro_or_offline)
             return degraded(condition);
@@ -171,11 +144,8 @@ expectedFor(ZoneType type, ZoneCondition condition, Op op)
                 return fail(DeviceErrc::WritePointerViolation);
             return pass(ZoneCondition::Full);
         }
-        // A sequential write implicitly opens; explicitly open
-        // zones stay explicitly open.
-        return pass(condition == ZoneCondition::ExplicitOpen
-                        ? ZoneCondition::ExplicitOpen
-                        : ZoneCondition::ImplicitOpen);
+        // A sequential write implicitly opens.
+        return pass(ZoneCondition::ImplicitOpen);
     case Op::WriteOffWp:
         if (ro_or_offline)
             return degraded(condition);
@@ -184,15 +154,12 @@ expectedFor(ZoneType type, ZoneCondition condition, Op op)
         // SWP absorbs out-of-policy writes (counted).
         if (condition == ZoneCondition::Full)
             return pass(ZoneCondition::Full);
-        return pass(condition == ZoneCondition::ExplicitOpen
-                        ? ZoneCondition::ExplicitOpen
-                        : ZoneCondition::ImplicitOpen);
+        return pass(ZoneCondition::ImplicitOpen);
     case Op::Read:
-    default:
         break;
     }
     ADD_FAILURE() << "unhandled op";
-    return fail(DeviceErrc::InvalidTransition);
+    return {};
 }
 
 /** A one-zone set with zone 0 forced into `condition`. */
@@ -220,10 +187,6 @@ applyOp(ZoneSet &zones, Op op)
 {
     const Zone &zone = zones.zone(0);
     switch (op) {
-      case Op::OpenExplicit: return zones.open(0, true);
-      case Op::OpenImplicit: return zones.open(0, false);
-      case Op::Close: return zones.close(0);
-      case Op::Finish: return zones.finish(0);
       case Op::Reset: return zones.reset(0);
       case Op::WriteAtWp: {
         // At wp when one exists; mid-zone when the zone is full
@@ -252,6 +215,14 @@ TEST(ZoneSetTransitions, ExhaustiveTypeConditionOpTable)
                     zones.zone(0).writePointer;
                 const Expect expect =
                     expectedFor(type, condition, op);
+                if (expect.panics) {
+                    EXPECT_THROW((void)applyOp(zones, op),
+                                 PanicError);
+                    EXPECT_EQ(zones.zone(0).condition, condition);
+                    EXPECT_EQ(zones.zone(0).writePointer,
+                              wp_before);
+                    continue;
+                }
                 const Status status = applyOp(zones, op);
 
                 if (expect.ok) {
@@ -290,13 +261,11 @@ TEST(ZoneSetTransitions, StatusCodeMappingIsCanonical)
               StatusCode::DataLoss);
     EXPECT_EQ(statusCodeOf(DeviceErrc::ZoneOffline),
               StatusCode::DataLoss);
-    EXPECT_EQ(statusCodeOf(DeviceErrc::TooManyOpenZones),
-              StatusCode::ResourceExhausted);
+    EXPECT_EQ(statusCodeOf(DeviceErrc::PowerLoss),
+              StatusCode::DataLoss);
     EXPECT_EQ(statusCodeOf(DeviceErrc::WritePointerViolation),
               StatusCode::FailedPrecondition);
     EXPECT_EQ(statusCodeOf(DeviceErrc::ZoneReadOnly),
-              StatusCode::FailedPrecondition);
-    EXPECT_EQ(statusCodeOf(DeviceErrc::InvalidTransition),
               StatusCode::FailedPrecondition);
 }
 
@@ -340,28 +309,6 @@ TEST(ZoneSetPolicy, OpenLimitEvictsLruImplicitZone)
               ZoneCondition::ImplicitOpen);
     EXPECT_EQ(zones.zone(2).condition,
               ZoneCondition::ImplicitOpen);
-}
-
-TEST(ZoneSetPolicy, AllExplicitOpenZonesExhaustTheLimit)
-{
-    ZoneLayout layout;
-    layout.zoneSectors = kZoneSectors;
-    layout.maxOpenZones = 2;
-    ZoneSet zones(layout);
-    zones.ensureCovers(3 * kZoneSectors);
-
-    ASSERT_TRUE(zones.open(0, true).ok());
-    ASSERT_TRUE(zones.open(1, true).ok());
-    const Status status = zones.open(2, true);
-    ASSERT_FALSE(status.ok());
-    EXPECT_TRUE(
-        isDeviceError(status, DeviceErrc::TooManyOpenZones));
-    EXPECT_EQ(status.code(), StatusCode::ResourceExhausted);
-    // Explicitly open zones are never evicted implicitly.
-    EXPECT_EQ(zones.zone(0).condition,
-              ZoneCondition::ExplicitOpen);
-    EXPECT_EQ(zones.zone(1).condition,
-              ZoneCondition::ExplicitOpen);
 }
 
 TEST(ZoneSetPolicy, SwpCountsOutOfPolicyWrites)

@@ -1,13 +1,13 @@
 /**
  * @file
- * Regression test for the Defragmenter's access-count flat hash:
- * trigger decisions must be exactly those of the seed's
+ * Regression test for the Defragmenter's access counts: trigger
+ * decisions must be exactly those of the seed's
  * std::map<std::pair<Lba, SectorCount>, uint32_t> implementation.
  *
  * A reference model replicating the ordered-map logic verbatim is
  * replayed side by side over a recorded (seeded synthetic) trace
  * slice of read completions, asserting decision-for-decision
- * equality — any hash collision mishandling, lost count or wrong
+ * equality — a lost count, a key that merges two ranges or a wrong
  * erase order would flip a decision and change every downstream
  * replay result.
  */
@@ -73,8 +73,8 @@ struct ReadEvent
 /**
  * Deterministic trace slice: a hot set of ranges read repeatedly
  * (so minAccesses thresholds are crossed and entries erased and
- * re-inserted) plus a random tail (so the table grows and probe
- * chains shift).
+ * re-inserted) plus a random tail (so many ranges are tracked at
+ * once).
  */
 std::vector<ReadEvent>
 recordedSlice(std::uint64_t seed, std::size_t ops)
@@ -148,9 +148,8 @@ TEST(DefragRegression, DecisionsMatchSeedMapNoAccessGate)
 
 TEST(DefragRegression, CollidingRangesStayDistinct)
 {
-    // Ranges sharing (lba << 16 | count) low bits collide in the
-    // packed key's low 16 bits; exact-field equality must keep
-    // them separate.
+    // Ranges that share their LBA, or whose (lba << 16 | count)
+    // packing would coincide, must be counted separately.
     DefragConfig config{/*minFragments=*/2, /*minAccesses=*/3};
     Defragmenter defrag(config);
     ReferenceDefragmenter reference(config);

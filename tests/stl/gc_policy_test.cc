@@ -141,13 +141,6 @@ TEST(GcPolicy, FactoryNamesAreStable)
                  "cost-benefit");
     EXPECT_STREQ(toString(CleaningPolicyKind::ZoneGranular),
                  "zone-granular");
-    for (const auto kind : {CleaningPolicyKind::Greedy,
-                            CleaningPolicyKind::CostBenefit,
-                            CleaningPolicyKind::ZoneGranular}) {
-        const auto policy = gc::makeCleaningPolicy(kind);
-        ASSERT_NE(policy, nullptr);
-        EXPECT_STREQ(policy->name(), toString(kind));
-    }
 }
 
 /** Hand-built segment state for direct selector tests. */
@@ -184,34 +177,30 @@ class FakeView
 
 TEST(GcPolicy, GreedySelectsLeastLiveClosedSegment)
 {
-    const auto policy =
-        gc::makeCleaningPolicy(gc::CleaningPolicyKind::Greedy);
     const FakeView view(32, 100,
                         {{4, false, true, 90}, // open: skipped
                          {8, false, false, 10},
                          {2, false, false, 99}, // least live
                          {0, true, false, 0},   // free: skipped
                          {2, false, false, 1}});
-    const auto victim = policy->selectVictim(view);
+    const auto victim =
+        gc::selectVictim(gc::CleaningPolicyKind::Greedy, view);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(*victim, 2U); // strict <: first of the tied pair
 }
 
 TEST(GcPolicy, GreedyReportsNoVictimWhenAllFullyLive)
 {
-    const auto policy =
-        gc::makeCleaningPolicy(gc::CleaningPolicyKind::Greedy);
     const FakeView view(32, 10,
                         {{32, false, false, 1},
                          {32, false, false, 2},
                          {0, true, false, 0}});
-    EXPECT_FALSE(policy->selectVictim(view).has_value());
+    EXPECT_FALSE(gc::selectVictim(gc::CleaningPolicyKind::Greedy, view)
+                     .has_value());
 }
 
 TEST(GcPolicy, CostBenefitPrefersAgedSegmentOverEmptierYoungOne)
 {
-    const auto policy = gc::makeCleaningPolicy(
-        gc::CleaningPolicyKind::CostBenefit);
     // Segment 1 is emptier (greedy would take it) but was written
     // just now; segment 2 is older with moderate utilization:
     //   seg 1: age 1,   u = 8/32:  1 * 24 / 40  = 0.6
@@ -220,19 +209,20 @@ TEST(GcPolicy, CostBenefitPrefersAgedSegmentOverEmptierYoungOne)
                         {{4, false, true, 100},
                          {8, false, false, 100},
                          {16, false, false, 0}});
-    const auto victim = policy->selectVictim(view);
+    const auto victim =
+        gc::selectVictim(gc::CleaningPolicyKind::CostBenefit, view);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(*victim, 2U);
 }
 
 TEST(GcPolicy, CostBenefitSkipsFullyLiveSegments)
 {
-    const auto policy = gc::makeCleaningPolicy(
-        gc::CleaningPolicyKind::CostBenefit);
     const FakeView view(32, 50,
                         {{32, false, false, 1},
                          {32, false, false, 2}});
-    EXPECT_FALSE(policy->selectVictim(view).has_value());
+    EXPECT_FALSE(
+        gc::selectVictim(gc::CleaningPolicyKind::CostBenefit, view)
+            .has_value());
 }
 
 /** The cost-benefit choice in 128-bit arithmetic throughout. */
@@ -281,8 +271,6 @@ TEST(GcPolicy, CostBenefitWidthsPickTheSameVictim)
     // A short replay's scan runs in 64-bit words. Shifting now and
     // every closed segment's lastWrite by 2^62 keeps every age but
     // forces the 128-bit scan, which must pick the same victim.
-    const auto policy = gc::makeCleaningPolicy(
-        gc::CleaningPolicyKind::CostBenefit);
     constexpr std::uint64_t kShift = std::uint64_t{1} << 62;
     Rng rng(23);
     int chosen = 0;
@@ -292,13 +280,15 @@ TEST(GcPolicy, CostBenefitWidthsPickTheSameVictim)
         std::vector<gc::SegmentInfo> segments =
             randomSegments(rng, sectors, now);
         const auto narrow =
-            policy->selectVictim({segments, sectors, now});
+            gc::selectVictim(gc::CleaningPolicyKind::CostBenefit,
+                             {segments, sectors, now});
         EXPECT_EQ(narrow, referenceCostBenefit({segments, sectors, now}))
             << "trial " << trial;
         for (gc::SegmentInfo &segment : segments)
             if (!segment.free)
                 segment.lastWrite += kShift;
-        EXPECT_EQ(policy->selectVictim({segments, sectors, now + kShift}),
+        EXPECT_EQ(gc::selectVictim(gc::CleaningPolicyKind::CostBenefit,
+                                   {segments, sectors, now + kShift}),
                   narrow)
             << "trial " << trial;
         chosen += narrow.has_value() ? 1 : 0;
@@ -313,8 +303,6 @@ TEST(GcPolicy, CostBenefitIsExactAtAndPastTheWidthBoundary)
     // floor((2^64 - 1) / 2S^2) - 1. Around that boundary, and far
     // past it where ages near 2^60 would wrap a 64-bit product, the
     // victim must be the exact 128-bit choice.
-    const auto policy = gc::makeCleaningPolicy(
-        gc::CleaningPolicyKind::CostBenefit);
     for (const SectorCount sectors :
          {SectorCount{1024}, SectorCount{8191}}) {
         const std::uint64_t boundary =
@@ -328,8 +316,10 @@ TEST(GcPolicy, CostBenefitIsExactAtAndPastTheWidthBoundary)
                     randomSegments(rng, sectors, now);
                 const gc::SegmentStateView view{segments, sectors,
                                                 now};
-                EXPECT_EQ(policy->selectVictim(view),
-                          referenceCostBenefit(view))
+                EXPECT_EQ(
+                    gc::selectVictim(
+                        gc::CleaningPolicyKind::CostBenefit, view),
+                    referenceCostBenefit(view))
                     << sectors << " sectors, now " << now
                     << ", trial " << trial;
             }
@@ -339,14 +329,12 @@ TEST(GcPolicy, CostBenefitIsExactAtAndPastTheWidthBoundary)
 
 TEST(GcPolicy, ZoneGranularBreaksLiveTiesTowardOlderZones)
 {
-    const auto policy = gc::makeCleaningPolicy(
-        gc::CleaningPolicyKind::ZoneGranular);
-    EXPECT_TRUE(policy->wholeZoneRead());
     const FakeView view(32, 100,
                         {{8, false, false, 90},
                          {8, false, false, 10}, // same live, older
                          {16, false, false, 1}});
-    const auto victim = policy->selectVictim(view);
+    const auto victim =
+        gc::selectVictim(gc::CleaningPolicyKind::ZoneGranular, view);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(*victim, 1U);
 }

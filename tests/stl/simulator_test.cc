@@ -446,7 +446,7 @@ TEST(Simulator, MakeTranslationLayerFollowsTheConfig)
     EXPECT_EQ(fl->segmentSectors(), bytesToSectors(128 * kKiB));
     EXPECT_EQ(fl->segmentCount(), 8u);
     EXPECT_EQ(fl->streamCount(), 2u);
-    EXPECT_STREQ(fl->policy().name(), "cost-benefit");
+    EXPECT_EQ(fl->policy(), gc::CleaningPolicyKind::CostBenefit);
 
     // A 128-sector cache merging at half full, in 32-sector bands.
     config.translation = TranslationKind::MediaCache;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the uniform sweep reports: JSON escaping, report shape,
+ * Tests for the uniform sweep reports: escaped labels, report shape,
  * the telemetry-free deterministic form, and CSV structure.
  */
 
@@ -36,22 +36,6 @@ tinySweep()
                         ConfigSpec::fixed("LS", ls)},
                        options)
         .run();
-}
-
-TEST(JsonEscapeTest, EscapesControlAndQuoteCharacters)
-{
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape("a\nb\tc"), "a\\nb\\tc");
-}
-
-TEST(JsonEscapeTest, EscapesLowControlCharactersAsUnicode)
-{
-    EXPECT_EQ(jsonEscape(std::string("\x01")), "\\u0001");
-    EXPECT_EQ(jsonEscape(std::string("\x1f")), "\\u001f");
-    EXPECT_EQ(jsonEscape("a\rb"), "a\\rb");
-    EXPECT_EQ(jsonEscape(""), "");
 }
 
 /** A sweep whose config label needs escaping in every format. */
