@@ -28,10 +28,15 @@
 # The extra mode `fault-smoke` builds device_fault_sweep under the
 # asan preset and runs the fault matrix at small scale with an
 # elevated fault rate, writing BENCH_device_faults.smoke.json — so
-# the zoned-device recovery paths (retry, zone resets, degraded
-# reads) execute under ASan+UBSan on every push. Device faults are
-# absorbed as counted partial failures, so any row with "ok": false
-# fails the gate.
+# the zoned-device recovery paths (retries, degraded reads, zones
+# going read-only or offline, write-pointer recovery) execute under
+# ASan+UBSan on every push. Device faults are absorbed as counted
+# partial failures, so any row with "ok": false fails the gate, and
+# so does a report without the device counters (no
+# "deviceReadRetries" column). The matrix then runs again at
+# --jobs 1, and its report, timing fields stripped as in jobs-smoke,
+# must be byte-identical to the --jobs 2 one, device counters
+# included.
 #
 # The extra mode `crash-smoke` builds crash_recovery_bench under
 # the asan preset and runs the reduced crash matrix (power-loss
@@ -99,6 +104,13 @@ if [ "${#PRESETS[@]}" -eq 0 ]; then
     PRESETS=(default asan tsan)
 fi
 
+# A sweep report without the fields that vary from run to run (the
+# telemetry block and each row's wallSec / opsPerSec).
+strip_timing() {
+    sed -e '/"telemetry":/d' \
+        -e 's/, "wallSec": [^,}]*, "opsPerSec": [^}]*//' "$1"
+}
+
 run_bench_smoke() {
     echo "==> tier1: bench-smoke"
     cmake --preset default
@@ -130,10 +142,6 @@ EOF
     # and --jobs 4. Timing fields are the only permitted
     # difference; everything else must be byte-identical.
     cmake --build --preset default -j "${JOBS}" --target fig11_saf
-    strip_timing() {
-        sed -e '/"telemetry":/d' \
-            -e 's/, "wallSec": [^,}]*, "opsPerSec": [^}]*//' "$1"
-    }
     build/bench/fig11_saf 0.002 --jobs 1 \
         --json=/tmp/tier1_jobs1.json > /dev/null
     for jobs in 2 4; do
@@ -157,7 +165,18 @@ run_fault_smoke() {
         echo "==> tier1: fault-smoke has failed cells" >&2
         exit 1
     fi
+    if ! grep -q '"deviceReadRetries"' BENCH_device_faults.smoke.json
+    then
+        echo "==> tier1: fault-smoke report has no device counters" >&2
+        exit 1
+    fi
     echo "==> tier1: fault-smoke every cell ok"
+    build-asan/bench/device_fault_sweep 0.002 \
+        --fault-rate=0.01 --jobs=1 \
+        --json=/tmp/tier1_faults_jobs1.json > /dev/null
+    diff <(strip_timing /tmp/tier1_faults_jobs1.json) \
+         <(strip_timing BENCH_device_faults.smoke.json)
+    echo "==> tier1: fault-smoke byte-identical at --jobs 1 and 2"
 }
 
 run_crash_smoke() {

@@ -85,42 +85,4 @@ formatBytes(std::uint64_t bytes)
     return formatDouble(value, 1) + " " + unit;
 }
 
-void
-printResult(std::ostream &out, const stl::SimResult &result)
-{
-    TextTable table({"metric", "value"});
-    table.addRow({"workload", result.workload});
-    table.addRow({"config", result.configLabel});
-    table.addRow({"reads", std::to_string(result.reads)});
-    table.addRow({"writes", std::to_string(result.writes)});
-    table.addRow({"read seeks", std::to_string(result.readSeeks)});
-    table.addRow({"write seeks", std::to_string(result.writeSeeks)});
-    table.addRow({"total seeks", std::to_string(result.totalSeeks())});
-    table.addRow({"fragmented reads",
-                  std::to_string(result.fragmentedReads)});
-    table.addRow({"read fragments",
-                  std::to_string(result.readFragments)});
-    table.addRow({"cache hits", std::to_string(result.cacheHits)});
-    table.addRow({"prefetch hits",
-                  std::to_string(result.prefetchHits)});
-    table.addRow({"defrag rewrites",
-                  std::to_string(result.defragRewrites)});
-    table.addRow({"media read", formatBytes(result.mediaReadBytes)});
-    table.addRow({"media write",
-                  formatBytes(result.mediaWriteBytes)});
-    if (result.cleaningMerges > 0) {
-        table.addRow({"cleaning merges",
-                      std::to_string(result.cleaningMerges)});
-        table.addRow({"cleaning seeks",
-                      std::to_string(result.cleaningSeeks)});
-        table.addRow({"write amplification",
-                      formatDouble(result.writeAmplification())});
-    }
-    table.addRow({"static fragments",
-                  std::to_string(result.staticFragments)});
-    table.addRow({"est. seek time",
-                  formatDouble(result.seekTimeSec, 3) + " s"});
-    table.print(out);
-}
-
 } // namespace logseek::analysis

@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "stl/simulator.h"
-
 namespace logseek::analysis
 {
 
@@ -50,12 +48,6 @@ std::string formatRatio(std::optional<double> value,
 
 /** Format a byte count as a human-readable KiB/MiB/GiB quantity. */
 std::string formatBytes(std::uint64_t bytes);
-
-/**
- * Dump one simulation result as a labeled two-column table —
- * the quick way to inspect a run from examples and tools.
- */
-void printResult(std::ostream &out, const stl::SimResult &result);
 
 } // namespace logseek::analysis
 

@@ -353,7 +353,6 @@ ZonedDevice::write(const SectorExtent &extent)
             zones_.moveWritePointer(
                 last_index, zone.writePointer +
                                 f.wpDivergenceSectors);
-            ++out.divergences;
             ++stats_.wpDivergences;
         }
     }

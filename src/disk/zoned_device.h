@@ -207,9 +207,6 @@ struct DeviceWriteResult
 
     /** Sectors refused outright (READ_ONLY/OFFLINE zones). */
     std::uint32_t failedSectors = 0;
-
-    /** Write-pointer divergences injected after this write. */
-    std::uint32_t divergences = 0;
 };
 
 /** Lifetime totals of one device (mirrors SimResult fields). */

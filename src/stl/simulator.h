@@ -14,11 +14,13 @@
 #ifndef LOGSEEK_STL_SIMULATOR_H
 #define LOGSEEK_STL_SIMULATOR_H
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "disk/head.h"
@@ -301,6 +303,66 @@ struct SimResult
      */
     double writeAmplification() const;
 };
+
+/**
+ * Call f(name, member) for every SimResult member in declaration
+ * order, name being the member's identifier: the one list the sweep
+ * report columns and the pinned result digests come from. Result
+ * may be const or not, so a caller can also fill a result.
+ */
+template <typename Result, typename F>
+    requires std::same_as<std::remove_const_t<Result>, SimResult>
+constexpr void
+forEachField(Result &r, F &&f)
+{
+    f("workload", r.workload);
+    f("configLabel", r.configLabel);
+    f("reads", r.reads);
+    f("writes", r.writes);
+    f("readSeeks", r.readSeeks);
+    f("writeSeeks", r.writeSeeks);
+    f("fragmentedReads", r.fragmentedReads);
+    f("readFragments", r.readFragments);
+    f("cacheHits", r.cacheHits);
+    f("cacheMisses", r.cacheMisses);
+    f("prefetchHits", r.prefetchHits);
+    f("defragRewrites", r.defragRewrites);
+    f("defragBytes", r.defragBytes);
+    f("mediaReadBytes", r.mediaReadBytes);
+    f("mediaWriteBytes", r.mediaWriteBytes);
+    f("hostWriteBytes", r.hostWriteBytes);
+    f("cleaningReadBytes", r.cleaningReadBytes);
+    f("cleaningWriteBytes", r.cleaningWriteBytes);
+    f("cleaningSeeks", r.cleaningSeeks);
+    f("cleaningMerges", r.cleaningMerges);
+    f("seekTimeSec", r.seekTimeSec);
+    f("staticFragments", r.staticFragments);
+    f("deviceReadRetries", r.deviceReadRetries);
+    f("deviceRecoveredSectors", r.deviceRecoveredSectors);
+    f("deviceFailedReadSectors", r.deviceFailedReadSectors);
+    f("deviceDegradedReads", r.deviceDegradedReads);
+    f("deviceFailedWriteSectors", r.deviceFailedWriteSectors);
+    f("deviceZoneResets", r.deviceZoneResets);
+    f("deviceWpViolations", r.deviceWpViolations);
+    f("deviceOutOfPolicyWrites", r.deviceOutOfPolicyWrites);
+    f("deviceGrownDefects", r.deviceGrownDefects);
+    f("deviceReadOnlyZones", r.deviceReadOnlyZones);
+    f("deviceOfflineZones", r.deviceOfflineZones);
+    f("deviceErrorLogDropped", r.deviceErrorLogDropped);
+    f("gcVictimLiveBytes", r.gcVictimLiveBytes);
+    f("gcVictimSpanBytes", r.gcVictimSpanBytes);
+}
+
+// SimResult's members are all 8-byte aligned and leave no padding,
+// so a member added without being listed in forEachField fails here.
+static_assert(sizeof(SimResult) == [] {
+    SimResult r;
+    std::size_t listed_bytes = 0;
+    forEachField(r, [&](const char *, const auto &member) {
+        listed_bytes += sizeof member;
+    });
+    return listed_bytes;
+}(), "list every SimResult member in forEachField");
 
 /** Observer interface; analyses implement this. */
 class SimObserver

@@ -5,7 +5,8 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
-#include <vector>
+#include <string>
+#include <type_traits>
 
 #include "telemetry/export.h"
 
@@ -27,51 +28,24 @@ formatExact(double value)
     return out.str();
 }
 
-/** The deterministic numeric fields of one row, in column order. */
-struct Field
+/**
+ * Call f(name, text) for each deterministic column of a row, in
+ * order: every numeric SimResult member (the row key already names
+ * the workload and config), then the derived writeAmplification.
+ */
+template <typename F>
+void
+forEachColumn(const stl::SimResult &result, F &&f)
 {
-    const char *name;
-    std::string value;
-};
-
-std::vector<Field>
-resultFields(const stl::SimResult &result)
-{
-    return {
-        {"reads", std::to_string(result.reads)},
-        {"writes", std::to_string(result.writes)},
-        {"readSeeks", std::to_string(result.readSeeks)},
-        {"writeSeeks", std::to_string(result.writeSeeks)},
-        {"fragmentedReads",
-         std::to_string(result.fragmentedReads)},
-        {"readFragments", std::to_string(result.readFragments)},
-        {"cacheHits", std::to_string(result.cacheHits)},
-        {"cacheMisses", std::to_string(result.cacheMisses)},
-        {"prefetchHits", std::to_string(result.prefetchHits)},
-        {"defragRewrites", std::to_string(result.defragRewrites)},
-        {"defragBytes", std::to_string(result.defragBytes)},
-        {"mediaReadBytes", std::to_string(result.mediaReadBytes)},
-        {"mediaWriteBytes",
-         std::to_string(result.mediaWriteBytes)},
-        {"hostWriteBytes", std::to_string(result.hostWriteBytes)},
-        {"cleaningReadBytes",
-         std::to_string(result.cleaningReadBytes)},
-        {"cleaningWriteBytes",
-         std::to_string(result.cleaningWriteBytes)},
-        {"cleaningSeeks", std::to_string(result.cleaningSeeks)},
-        {"cleaningMerges", std::to_string(result.cleaningMerges)},
-        {"staticFragments",
-         std::to_string(result.staticFragments)},
-        {"deviceErrorLogDropped",
-         std::to_string(result.deviceErrorLogDropped)},
-        {"gcVictimLiveBytes",
-         std::to_string(result.gcVictimLiveBytes)},
-        {"gcVictimSpanBytes",
-         std::to_string(result.gcVictimSpanBytes)},
-        {"seekTimeSec", formatExact(result.seekTimeSec)},
-        {"writeAmplification",
-         formatExact(result.writeAmplification())},
-    };
+    stl::forEachField(result, [&](const char *name,
+                                  const auto &value) {
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_floating_point_v<T>)
+            f(name, formatExact(value));
+        else if constexpr (std::is_integral_v<T>)
+            f(name, std::to_string(value));
+    });
+    f("writeAmplification", formatExact(result.writeAmplification()));
 }
 
 std::string
@@ -127,9 +101,10 @@ writeJson(std::ostream &out, const SweepResult &sweep,
                 << jsonEscape(row.status.message()) << '"';
         out << ", \"ops\": " << row.ops;
         if (row.status.ok())
-            for (const Field &field : resultFields(row.result))
-                out << ", \"" << field.name
-                    << "\": " << field.value;
+            forEachColumn(row.result, [&](const char *name,
+                                          const std::string &value) {
+                out << ", \"" << name << "\": " << value;
+            });
         if (with_telemetry)
             out << ", \"wallSec\": " << formatExact(row.wallSec)
                 << ", \"opsPerSec\": "
@@ -145,10 +120,12 @@ writeCsv(std::ostream &out, const SweepResult &sweep,
          bool with_telemetry)
 {
     out << "workload,config,ok,error,ops";
-    // Column names come from an empty result: the field list is
+    // Column names come from an empty result: the column list is
     // static.
-    for (const Field &field : resultFields(stl::SimResult{}))
-        out << ',' << field.name;
+    forEachColumn(stl::SimResult{},
+                  [&](const char *name, const std::string &) {
+                      out << ',' << name;
+                  });
     if (with_telemetry)
         out << ",wallSec,opsPerSec";
     out << '\n';
@@ -160,16 +137,13 @@ writeCsv(std::ostream &out, const SweepResult &sweep,
             << csvQuote(row.status.ok() ? ""
                                         : row.status.message())
             << ',' << row.ops;
-        if (row.status.ok()) {
-            for (const Field &field : resultFields(row.result))
-                out << ',' << field.value;
-        } else {
-            for (const Field &field :
-                 resultFields(stl::SimResult{})) {
-                (void)field;
-                out << ',';
-            }
-        }
+        // A failed row leaves every result column empty.
+        forEachColumn(row.result,
+                      [&](const char *, const std::string &value) {
+                          out << ',';
+                          if (row.status.ok())
+                              out << value;
+                      });
         if (with_telemetry)
             out << ',' << formatExact(row.wallSec) << ','
                 << formatExact(row.opsPerSec());

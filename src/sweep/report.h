@@ -5,10 +5,11 @@
  * Every bench harness emits the same JSON and CSV shapes, so one
  * plotting/diffing toolchain covers all figures: a `sweep` object
  * with telemetry (jobs, wall-clock, ops/sec) and one row per
- * (workload, config) cell carrying every SimResult field plus
- * per-run wall-clock. Simulation fields are deterministic —
- * byte-identical across job counts — while telemetry fields
- * (wallSec, replaySec, opsPerSec) vary run to run.
+ * (workload, config) cell carrying every SimResult field, in
+ * stl::forEachField order, plus per-run wall-clock. Simulation
+ * fields are deterministic — byte-identical across job counts —
+ * while telemetry fields (wallSec, replaySec, opsPerSec) vary run
+ * to run.
  */
 
 #ifndef LOGSEEK_SWEEP_REPORT_H

@@ -1,13 +1,10 @@
 /**
  * @file
  * API-surface tests: the umbrella header compiles and exposes the
- * whole stack, printResult renders every counter, and the
- * documented README flow works end to end.
+ * whole stack, and the documented README flow works end to end.
  */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "logseek.h"
 
@@ -36,41 +33,6 @@ TEST(Api, ReadmeQuickstartFlow)
     EXPECT_EQ(ls.configLabel, "LS+cache");
     EXPECT_EQ(validator.eventCount(), 2 * trace.size());
     EXPECT_EQ(validator.violationCount(), 0u);
-}
-
-TEST(Api, PrintResultRendersAllSections)
-{
-    trace::Trace trace("t");
-    for (int i = 0; i < 40; ++i)
-        trace.appendWrite(static_cast<Lba>(i * 100), 8);
-    trace.appendRead(0, 8);
-
-    stl::SimConfig config;
-    config.translation = stl::TranslationKind::MediaCache;
-    config.mediaCache.cacheBytes = 64 * kSectorBytes;
-    config.mediaCache.bandBytes = 32 * kSectorBytes;
-    const stl::SimResult result = stl::Simulator(config).run(trace);
-
-    std::ostringstream out;
-    analysis::printResult(out, result);
-    const std::string text = out.str();
-    EXPECT_NE(text.find("MediaCache"), std::string::npos);
-    EXPECT_NE(text.find("total seeks"), std::string::npos);
-    EXPECT_NE(text.find("cleaning merges"), std::string::npos);
-    EXPECT_NE(text.find("write amplification"), std::string::npos);
-    EXPECT_NE(text.find("est. seek time"), std::string::npos);
-}
-
-TEST(Api, PrintResultOmitsCleaningWhenNoneHappened)
-{
-    trace::Trace trace("t");
-    trace.appendWrite(0, 8);
-    stl::SimConfig config;
-    config.translation = stl::TranslationKind::LogStructured;
-    const stl::SimResult result = stl::Simulator(config).run(trace);
-    std::ostringstream out;
-    analysis::printResult(out, result);
-    EXPECT_EQ(out.str().find("cleaning merges"), std::string::npos);
 }
 
 TEST(Api, AllTranslationKindsRunTheSameTrace)

@@ -94,27 +94,9 @@ std::uint64_t
 resultDigest(const SimResult &r)
 {
     Digest d;
-    d.add(r.workload);
-    d.add(r.configLabel);
-    for (const std::uint64_t v :
-         {r.reads, r.writes, r.readSeeks, r.writeSeeks,
-          r.fragmentedReads, r.readFragments, r.cacheHits,
-          r.cacheMisses, r.prefetchHits, r.defragRewrites,
-          r.defragBytes, r.mediaReadBytes, r.mediaWriteBytes,
-          r.hostWriteBytes, r.cleaningReadBytes,
-          r.cleaningWriteBytes, r.cleaningSeeks, r.cleaningMerges})
-        d.add(v);
-    d.add(r.seekTimeSec);
-    d.add(static_cast<std::uint64_t>(r.staticFragments));
-    for (const std::uint64_t v :
-         {r.deviceReadRetries, r.deviceRecoveredSectors,
-          r.deviceFailedReadSectors, r.deviceDegradedReads,
-          r.deviceFailedWriteSectors, r.deviceZoneResets,
-          r.deviceWpViolations, r.deviceOutOfPolicyWrites,
-          r.deviceGrownDefects, r.deviceReadOnlyZones,
-          r.deviceOfflineZones, r.deviceErrorLogDropped,
-          r.gcVictimLiveBytes, r.gcVictimSpanBytes})
-        d.add(v);
+    forEachField(r, [&](const char *, const auto &value) {
+        d.add(value);
+    });
     return d.value();
 }
 

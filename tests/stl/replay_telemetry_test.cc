@@ -172,13 +172,7 @@ TEST(ReplayTelemetry, TelemetryDoesNotPerturbTheSimulation)
         instrumented = Simulator(lsConfig()).run(mixedTrace());
     }
 
-    EXPECT_EQ(plain.reads, instrumented.reads);
-    EXPECT_EQ(plain.writes, instrumented.writes);
-    EXPECT_EQ(plain.readSeeks, instrumented.readSeeks);
-    EXPECT_EQ(plain.writeSeeks, instrumented.writeSeeks);
-    EXPECT_EQ(plain.readFragments, instrumented.readFragments);
-    EXPECT_EQ(plain.fragmentedReads, instrumented.fragmentedReads);
-    EXPECT_EQ(plain.totalSeeks(), instrumented.totalSeeks());
+    EXPECT_EQ(plain, instrumented);
 }
 
 TEST(ReplayTelemetry, CleaningSeekCounterMatchesSimResult)

@@ -1,13 +1,19 @@
 /**
  * @file
  * Tests for the uniform sweep reports: escaped labels, report shape,
- * the telemetry-free deterministic form, and CSV structure.
+ * the telemetry-free deterministic form, CSV structure, and a column
+ * for every result field.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "stl/simulator.h"
 #include "sweep/report.h"
@@ -132,6 +138,61 @@ TEST(ReportTest, CsvHasHeaderAndOneLinePerCell)
         if (!line.empty())
             ++data_lines;
     EXPECT_EQ(data_lines, sweep.rows.size());
+}
+
+TEST(ReportTest, RowsCarryEveryResultField)
+{
+    // Each numeric member holds its own value, so a member that
+    // forEachField lists but a format leaves out, or writes in
+    // another member's column, shows.
+    RunRow row;
+    row.key.workload = "w";
+    row.key.configLabel = "c";
+    std::map<std::string, std::string> expected;
+    std::uint64_t next = 1000;
+    stl::forEachField(row.result, [&](const char *name, auto &member) {
+        using T = std::decay_t<decltype(member)>;
+        if constexpr (std::is_arithmetic_v<T>) {
+            member = static_cast<T>(next);
+            expected[name] = std::to_string(next++);
+        }
+    });
+    SweepResult sweep;
+    sweep.workloads = {"w"};
+    sweep.configs = {"c"};
+    sweep.rows.push_back(std::move(row));
+
+    std::ostringstream json_out;
+    writeJson(json_out, sweep, /*with_telemetry=*/false);
+    const std::string json = json_out.str();
+    for (const auto &[name, value] : expected)
+        EXPECT_NE(json.find("\"" + name + "\": " + value + ","),
+                  std::string::npos)
+            << name;
+
+    std::ostringstream csv_out;
+    writeCsv(csv_out, sweep, /*with_telemetry=*/false);
+    std::istringstream lines(csv_out.str());
+    const auto cells = [&] {
+        std::string line;
+        std::getline(lines, line);
+        std::vector<std::string> out;
+        std::istringstream fields(line);
+        for (std::string cell; std::getline(fields, cell, ',');)
+            out.push_back(cell);
+        return out;
+    };
+    const std::vector<std::string> header = cells();
+    const std::vector<std::string> values = cells();
+    ASSERT_EQ(values.size(), header.size());
+    for (const auto &[name, value] : expected) {
+        ASSERT_EQ(std::count(header.begin(), header.end(), name), 1)
+            << name;
+        const auto column = static_cast<std::size_t>(
+            std::find(header.begin(), header.end(), name) -
+            header.begin());
+        EXPECT_EQ(values[column], value) << name;
+    }
 }
 
 TEST(ReportTest, FailedRowsCarryTheErrorInBothFormats)

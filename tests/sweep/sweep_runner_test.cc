@@ -215,16 +215,7 @@ TEST(SweepRunnerTest, ResultsMatchDirectSimulatorRuns)
                     options)
             .run();
 
-    const stl::SimResult &cell = sweep.row(0, 0).result;
-    EXPECT_EQ(cell.readSeeks, direct.readSeeks);
-    EXPECT_EQ(cell.writeSeeks, direct.writeSeeks);
-    EXPECT_EQ(cell.fragmentedReads, direct.fragmentedReads);
-    EXPECT_EQ(cell.cacheHits, direct.cacheHits);
-    EXPECT_EQ(cell.prefetchHits, direct.prefetchHits);
-    EXPECT_EQ(cell.defragRewrites, direct.defragRewrites);
-    EXPECT_EQ(cell.mediaReadBytes, direct.mediaReadBytes);
-    EXPECT_EQ(cell.mediaWriteBytes, direct.mediaWriteBytes);
-    EXPECT_DOUBLE_EQ(cell.seekTimeSec, direct.seekTimeSec);
+    EXPECT_EQ(sweep.row(0, 0).result, direct);
 }
 
 TEST(SweepRunnerTest, ObserverFactoryGivesEveryRunFreshObservers)
