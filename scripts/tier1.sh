@@ -76,12 +76,15 @@
 # seed 7, which has no recorded digests: every pass must still
 # reproduce the digests of its own validation pass, which catches
 # state that depends on anything but the replayed input. Last, one
-# traced hot-reread run and one traced write-churn run (--trace 1)
-# replay the cells with telemetry armed: those passes must reproduce
-# the recorded digests too, and every standalone cross-check of their
-# per-layer ledgers must match. write-churn's finite logs clean and
-# one runs on the zoned device, so its cross-checks cover cleaning
-# seeks, merges, victim bytes and the device's counts.
+# traced run of each workload (--trace 1) replays the cells with
+# telemetry armed: those passes must reproduce the recorded digests
+# too, and every standalone cross-check of their per-layer ledgers
+# must match. fig11's 525 cross-checks drive the selective cache and
+# the prefetch buffer in perfbench's own order (look up, admit on a
+# miss) for all 21 profiles and compare their hit and miss counts
+# with the replay's. write-churn's finite logs clean and one runs on
+# the zoned device, so its cross-checks cover cleaning seeks, merges,
+# victim bytes and the device's counts.
 #
 # Usage:
 #   scripts/tier1.sh            # all three presets
@@ -243,7 +246,7 @@ run_perfbench_smoke() {
             --seconds 1
     done
     echo "==> tier1: perfbench-smoke seed 7 passes reproduce their validation"
-    for workload in hot-reread write-churn; do
+    for workload in fig11 hot-reread write-churn; do
         python3 perfbench/run.py --workload "${workload}" --trace 1 \
             --seconds 1
     done

@@ -92,17 +92,37 @@ PbaRangeCache::freeNode(RangeNode *node)
 }
 
 std::size_t
-PbaRangeCache::blockFor(std::uint64_t start) const
+PbaRangeCache::blockFor(std::uint64_t start)
 {
-    const std::size_t after =
-        countAtMost(firstStarts_.data(), firstStarts_.size(), start);
-    return after == 0 ? 0 : after - 1;
+    // The finger holds start when start is below the next block's
+    // first start and not below its own; block 0 also holds every
+    // start below the first.
+    const std::size_t n = firstStarts_.size();
+    const std::size_t f = finger_;
+    if ((f == 0 || firstStarts_[f] <= start) &&
+        (f + 1 == n || start < firstStarts_[f + 1]))
+        return f;
+    // Halve the array down to 64 keys, then count with the group
+    // probe: past 64 blocks that beats probing every 8th key.
+    constexpr std::size_t kProbeKeys = 64;
+    const std::uint64_t *keys = firstStarts_.data();
+    std::size_t size = n;
+    std::size_t after = 0;
+    while (size > kProbeKeys) {
+        const std::size_t half = size / 2;
+        const std::size_t skip = keys[half - 1] <= start ? half : 0;
+        keys += skip;
+        after += skip;
+        size = skip != 0 ? size - half : half;
+    }
+    after += countAtMost(keys, size, start);
+    finger_ = after == 0 ? 0 : after - 1;
+    return finger_;
 }
 
 template <typename Visit>
 void
-PbaRangeCache::forEachFrom(const SectorExtent &extent,
-                           Visit visit) const
+PbaRangeCache::forEachFrom(const SectorExtent &extent, Visit visit)
 {
     if (indexBlocks_.empty())
         return;
@@ -122,31 +142,38 @@ PbaRangeCache::forEachFrom(const SectorExtent &extent,
     }
 }
 
+void
+PbaRangeCache::walk(const SectorExtent &extent)
+{
+    overlapScratch_.clear();
+    missingScratch_.clear();
+    walked_ = extent;
+    std::uint64_t cursor = extent.start;
+    forEachFrom(extent, [&](RangeNode *node) {
+        const SectorExtent &entry = node->extent;
+        if (entry.end() <= cursor)
+            return true; // the entry before extent, ending before it
+        if (entry.start > cursor)
+            missingScratch_.push_back({cursor, entry.start - cursor});
+        overlapScratch_.push_back(node);
+        cursor = entry.end();
+        return cursor < extent.end();
+    });
+    if (cursor < extent.end())
+        missingScratch_.push_back({cursor, extent.end() - cursor});
+}
+
 bool
 PbaRangeCache::contains(const SectorExtent &extent)
 {
     if (extent.empty())
         return true;
-
-    // Collect the entries overlapping extent, left to right, and
-    // check they tile it without gaps.
-    coveringScratch_.clear();
-    std::uint64_t cursor = extent.start;
-    forEachFrom(extent, [&](RangeNode *node) {
-        const SectorExtent &entry = node->extent;
-        if (entry.end() <= cursor)
-            return true;
-        if (entry.start > cursor)
-            return false; // gap before this entry
-        coveringScratch_.push_back(node);
-        cursor = entry.end();
-        return cursor < extent.end();
-    });
-    if (cursor < extent.end())
+    walk(extent);
+    if (!missingScratch_.empty())
         return false;
-
+    // A full hit: the overlapping entries tile extent.
     if (policy_ == EvictionPolicy::Lru) {
-        for (RangeNode *node : coveringScratch_)
+        for (RangeNode *node : overlapScratch_)
             moveToFront(node);
     }
     return true;
@@ -158,19 +185,11 @@ PbaRangeCache::insert(const SectorExtent &extent)
     if (extent.empty() || capacityBytes_ == 0)
         return;
 
-    // Find the uncovered subranges of extent.
-    missingScratch_.clear();
-    std::uint64_t cursor = extent.start;
-    forEachFrom(extent, [&](RangeNode *node) {
-        const SectorExtent &entry = node->extent;
-        if (entry.start > cursor)
-            missingScratch_.push_back(
-                {cursor, entry.start - cursor});
-        cursor = std::max(cursor, entry.end());
-        return cursor < extent.end();
-    });
-    if (cursor < extent.end())
-        missingScratch_.push_back({cursor, extent.end() - cursor});
+    // The uncovered pieces of extent: kept by a contains() that
+    // walked this extent since the index last changed, or found now.
+    if (walked_ != extent)
+        walk(extent);
+    walked_ = {};
 
     for (const auto &piece : missingScratch_) {
         RangeNode *node = allocNode();
@@ -205,10 +224,13 @@ PbaRangeCache::splitBlock(std::size_t b)
               right->entries.begin());
     right->size = left.size - keep;
     left.size = keep;
+    for (std::size_t i = 0; i < right->size; ++i)
+        right->entries[i].node->block = right.get();
     const auto pos = static_cast<std::ptrdiff_t>(b + 1);
     firstStarts_.insert(firstStarts_.begin() + pos,
                         right->entries[0].start);
     indexBlocks_.insert(indexBlocks_.begin() + pos, std::move(right));
+    renumberFrom(b + 1);
 }
 
 void
@@ -219,6 +241,16 @@ PbaRangeCache::dropBlock(std::size_t b)
     const auto pos = static_cast<std::ptrdiff_t>(b);
     indexBlocks_.erase(indexBlocks_.begin() + pos);
     firstStarts_.erase(firstStarts_.begin() + pos);
+    renumberFrom(b);
+    if (finger_ >= indexBlocks_.size())
+        finger_ = 0;
+}
+
+void
+PbaRangeCache::renumberFrom(std::size_t b)
+{
+    for (; b < indexBlocks_.size(); ++b)
+        indexBlocks_[b]->pos = b;
 }
 
 void
@@ -227,6 +259,7 @@ PbaRangeCache::indexInsert(RangeNode *node)
     const std::uint64_t start = node->extent.start;
     if (indexBlocks_.empty()) {
         indexBlocks_.push_back(takeBlock());
+        indexBlocks_[0]->pos = 0;
         firstStarts_.push_back(start);
     }
     std::size_t b = blockFor(start);
@@ -242,6 +275,7 @@ PbaRangeCache::indexInsert(RangeNode *node)
                        block.entries.begin() + block.size,
                        block.entries.begin() + block.size + 1);
     block.entries[i] = {start, node};
+    node->block = &block;
     ++block.size;
     firstStarts_[b] = block.entries[0].start;
     ++entryCount_;
@@ -251,8 +285,8 @@ void
 PbaRangeCache::indexErase(RangeNode *node)
 {
     const std::uint64_t start = node->extent.start;
-    const std::size_t b = blockFor(start);
-    IndexBlock &block = *indexBlocks_[b];
+    IndexBlock &block = *node->block;
+    const std::size_t b = block.pos;
     const std::size_t i = entriesAtMost(block, start) - 1;
     panicIf(i >= block.size || block.entries[i].node != node,
             "PbaRangeCache: index out of sync");
@@ -273,6 +307,8 @@ PbaRangeCache::indexErase(RangeNode *node)
             std::copy(right.entries.begin(),
                       right.entries.begin() + right.size,
                       block.entries.begin() + block.size);
+            for (std::size_t j = 0; j < right.size; ++j)
+                right.entries[j].node->block = &block;
             block.size += right.size;
             dropBlock(b + 1);
         }

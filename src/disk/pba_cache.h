@@ -8,20 +8,36 @@
  * translation-aware selective RAM cache of fragments (LRU
  * replacement, Algorithm 3).
  *
- * Because the simulated disk is infinite, physical sectors are
- * written at most once, so cached ranges can never hold stale data
- * and no invalidation path is required (see DESIGN.md §6).
+ * The cache has no invalidation path: a cached range is assumed to
+ * hold what the media holds until it is evicted. That holds for the
+ * log-structured layer on the infinite disk, whose physical sectors
+ * are written at most once (see DESIGN.md §6). It does not hold for
+ * layers that rewrite sectors in place: the finite log reuses a
+ * segment after cleaning it, the media cache rewrites bands when it
+ * merges, and the conventional layer writes in place.
  *
  * Layout: range nodes come from a chunked pool and are threaded on
  * an intrusive doubly-linked recency list (front = most recent).
- * Lookups go through a blocked index of height 2: sorted blocks of
- * at most 64 {start, node} pairs, plus a contiguous array of each
- * block's first start. A lookup searches that array, then one block,
- * so an insert or an eviction moves at most one block's entries
- * instead of the whole index. Refreshes and evictions are pointer
- * relinks, and emptied blocks and the lookup/insert scratch vectors
- * are kept for reuse, so the steady state performs no heap
- * allocation.
+ * The index has height 2: sorted blocks of at most 64 {start, node}
+ * pairs, plus a contiguous array of each block's first start. A
+ * search checks a one-block finger (the block of the previous
+ * search) with two compares against that array, and only when the
+ * finger misses searches the array (halving it down to 64 starts,
+ * then probing those); then it searches one block. An insert or an
+ * eviction moves at most one block's entries.
+ *
+ * Each node points at the block holding its entry, and each block
+ * knows its position, so erasing a known node (an eviction) starts
+ * at its block and does no top-level search. contains() and insert()
+ * share one walk that collects the entries overlapping an extent and
+ * its uncovered pieces; an insert() of the extent a missed
+ * contains() just walked, with no call in between, admits the kept
+ * pieces without walking again. That is the order in which the
+ * selective cache is driven: look a fragment up, admit it on a miss.
+ *
+ * Refreshes and evictions are pointer relinks, and emptied blocks
+ * and the walk's scratch vectors are kept for reuse, so the steady
+ * state performs no heap allocation.
  */
 
 #ifndef LOGSEEK_DISK_PBA_CACHE_H
@@ -85,6 +101,8 @@ class PbaRangeCache
     std::uint64_t evictionCount() const { return evictions_; }
 
   private:
+    struct IndexBlock;
+
     /** One resident range, linked into the recency list. `next`
      *  doubles as the free-list link while the node is pooled. */
     struct RangeNode
@@ -92,6 +110,8 @@ class PbaRangeCache
         SectorExtent extent;
         RangeNode *prev = nullptr;
         RangeNode *next = nullptr;
+        /** The index block holding this node's entry. */
+        IndexBlock *block = nullptr;
     };
 
     /** One index entry; the start is kept inline so a search
@@ -115,6 +135,8 @@ class PbaRangeCache
     {
         std::array<IndexEntry, kBlockEntries> entries{};
         std::size_t size = 0;
+        /** This block's position in indexBlocks_. */
+        std::size_t pos = 0;
     };
 
     /** Link node at the recency front (most recent). */
@@ -133,11 +155,17 @@ class PbaRangeCache
      *  extent.start (or the first entry), until visit returns
      *  false. */
     template <typename Visit>
-    void forEachFrom(const SectorExtent &extent, Visit visit) const;
+    void forEachFrom(const SectorExtent &extent, Visit visit);
+
+    /** Fill overlapScratch_ with the entries overlapping extent and
+     *  missingScratch_ with its uncovered pieces, both ascending,
+     *  and remember extent as walked_. */
+    void walk(const SectorExtent &extent);
 
     /** The block whose range holds start: the last block whose
-     *  first start is <= start, or block 0. */
-    std::size_t blockFor(std::uint64_t start) const;
+     *  first start is <= start, or block 0. Tries the finger first
+     *  and leaves it on the answer. */
+    std::size_t blockFor(std::uint64_t start);
 
     void indexInsert(RangeNode *node);
     void indexErase(RangeNode *node);
@@ -150,6 +178,9 @@ class PbaRangeCache
 
     /** Remove block b from the index and keep it for reuse. */
     void dropBlock(std::size_t b);
+
+    /** Set the pos of every block from b on. */
+    void renumberFrom(std::size_t b);
 
     void evictOne();
 
@@ -164,11 +195,16 @@ class PbaRangeCache
     RangeNode *tail_ = nullptr;
 
     /** The index, in start order: blocks are non-empty, entries
-     *  never overlap, and firstStarts_[b] is the first start of
-     *  indexBlocks_[b]. */
+     *  never overlap, firstStarts_[b] is the first start of
+     *  indexBlocks_[b] and indexBlocks_[b]->pos is b, and every
+     *  resident node's block holds its entry. */
     std::vector<std::unique_ptr<IndexBlock>> indexBlocks_;
     std::vector<std::uint64_t> firstStarts_;
     std::vector<std::unique_ptr<IndexBlock>> spareBlocks_;
+
+    /** The block blockFor() found last; below indexBlocks_.size()
+     *  whenever the index is not empty. */
+    std::size_t finger_ = 0;
 
     /** Chunked node pool with an intrusive free list. */
     static constexpr std::size_t kNodesPerChunk = 64;
@@ -176,9 +212,12 @@ class PbaRangeCache
     std::size_t nodesUsed_ = 0;
     RangeNode *freeList_ = nullptr;
 
-    /** Reusable scratches for contains()/insert(). */
-    std::vector<RangeNode *> coveringScratch_;
+    /** The last walk's results, reusable scratches. They describe
+     *  walked_ until the index next changes; insert() empties
+     *  walked_, and an empty extent matches no insert(). */
+    std::vector<RangeNode *> overlapScratch_;
     std::vector<SectorExtent> missingScratch_;
+    SectorExtent walked_;
 };
 
 } // namespace logseek::disk

@@ -1,5 +1,8 @@
 #include "simulator.h"
 
+#include <limits>
+#include <ostream>
+
 #include "stl/conventional.h"
 #include "stl/replay_engine.h"
 #include "util/logging.h"
@@ -15,6 +18,20 @@ SimResult::writeAmplification() const
     return static_cast<double>(mediaWriteBytes +
                                cleaningWriteBytes) /
            static_cast<double>(hostWriteBytes);
+}
+
+std::ostream &
+operator<<(std::ostream &out, const SimResult &result)
+{
+    const auto precision =
+        out.precision(std::numeric_limits<double>::max_digits10);
+    const char *separator = "";
+    forEachField(result, [&](const char *name, const auto &member) {
+        out << separator << name << '=' << member;
+        separator = " ";
+    });
+    out.precision(precision);
+    return out;
 }
 
 std::string

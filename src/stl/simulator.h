@@ -17,6 +17,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -363,6 +364,14 @@ static_assert(sizeof(SimResult) == [] {
     });
     return listed_bytes;
 }(), "list every SimResult member in forEachField");
+
+/**
+ * Writes "name=value" for every member, in forEachField's order and
+ * separated by spaces; seekTimeSec has enough digits to read back
+ * exactly. gtest prints a result with it, so a failed comparison of
+ * two results shows which member differs.
+ */
+std::ostream &operator<<(std::ostream &out, const SimResult &result);
 
 /** Observer interface; analyses implement this. */
 class SimObserver

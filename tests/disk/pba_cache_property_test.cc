@@ -4,7 +4,8 @@
  * sequences validated against a brute-force per-sector reference
  * (coverage correctness) plus budget invariants, and a differential
  * test that pins the exact hit, admission and eviction behaviour
- * against a brute-force model of the cache.
+ * against a brute-force model of the cache, in the order the replay
+ * engine drives it (look up, admit on a miss) and interleaved.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <list>
 #include <set>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -255,15 +257,17 @@ DiffParams diff(std::uint64_t seed, EvictionPolicy policy,
             .driftSectors = driftSectors};
 }
 
-class PbaCacheDifferential : public ::testing::TestWithParam<DiffParams>
+/**
+ * Drive the cache and the reference with the same `ops` random
+ * operations; after each call, the hit result and every counter must
+ * agree. Besides lone inserts and lookups, an op is the replay
+ * engine's order (look an extent up, insert it on a miss), or a
+ * lookup whose insert comes only after a call on another extent: a
+ * lookup or an insert.
+ */
+void
+expectMatchesReference(const DiffParams &params, std::uint64_t ops)
 {
-};
-
-TEST_P(PbaCacheDifferential, MatchesBruteForceReference)
-{
-    // Same random operations on both; after each one, the hit
-    // result and every counter must agree.
-    const DiffParams params = GetParam();
     const std::uint64_t capacityBytes =
         params.capacitySectors == 0 ? 1ULL << 40
                                     : params.capacitySectors *
@@ -272,27 +276,75 @@ TEST_P(PbaCacheDifferential, MatchesBruteForceReference)
     PbaRangeCache cache(capacityBytes, params.policy);
     ReferenceRangeCache reference(capacityBytes, params.policy);
 
-    for (std::uint64_t op = 0; op < 3000; ++op) {
-        const SectorExtent extent{
-            op * params.driftSectors +
-                rng.nextUint(params.spaceSectors),
-            1 + rng.nextUint(params.maxExtentSectors)};
-        if (rng.nextBool(0.5)) {
-            cache.insert(extent);
-            reference.insert(extent);
-        } else {
-            ASSERT_EQ(cache.contains(extent),
-                      reference.contains(extent))
-                << "op " << op << " extent [" << extent.start << ","
-                << extent.end() << ")";
+    std::uint64_t op = 0;
+    const auto randomExtent = [&] {
+        return SectorExtent{op * params.driftSectors +
+                                rng.nextUint(params.spaceSectors),
+                            1 + rng.nextUint(params.maxExtentSectors)};
+    };
+    const auto where = [&](const SectorExtent &extent) {
+        return "op " + std::to_string(op) + " extent [" +
+               std::to_string(extent.start) + "," +
+               std::to_string(extent.end()) + ")";
+    };
+    const auto expectSameCounters = [&](const SectorExtent &extent) {
+        EXPECT_EQ(cache.usedBytes(), reference.usedBytes())
+            << where(extent);
+        EXPECT_EQ(cache.entryCount(), reference.entryCount())
+            << where(extent);
+        EXPECT_EQ(cache.evictionCount(), reference.evictionCount())
+            << where(extent);
+    };
+    const auto insert = [&](const SectorExtent &extent) {
+        cache.insert(extent);
+        reference.insert(extent);
+        expectSameCounters(extent);
+    };
+    const auto contains = [&](const SectorExtent &extent) {
+        const bool hit = cache.contains(extent);
+        EXPECT_EQ(hit, reference.contains(extent)) << where(extent);
+        expectSameCounters(extent);
+        return hit;
+    };
+
+    for (; op < ops && !::testing::Test::HasFailure(); ++op) {
+        const SectorExtent a = randomExtent();
+        switch (rng.nextUint(5)) {
+        case 0:
+            insert(a);
+            break;
+        case 1:
+            contains(a);
+            break;
+        case 2:
+            if (!contains(a))
+                insert(a);
+            break;
+        case 3: {
+            const SectorExtent b = randomExtent();
+            contains(a);
+            contains(b);
+            insert(a);
+            break;
         }
-        ASSERT_EQ(cache.usedBytes(), reference.usedBytes())
-            << "op " << op;
-        ASSERT_EQ(cache.entryCount(), reference.entryCount())
-            << "op " << op;
-        ASSERT_EQ(cache.evictionCount(), reference.evictionCount())
-            << "op " << op;
+        default: {
+            const SectorExtent b = randomExtent();
+            contains(a);
+            insert(b);
+            insert(a);
+            break;
+        }
+        }
     }
+}
+
+class PbaCacheDifferential : public ::testing::TestWithParam<DiffParams>
+{
+};
+
+TEST_P(PbaCacheDifferential, MatchesBruteForceReference)
+{
+    expectMatchesReference(GetParam(), 3000);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -321,6 +373,16 @@ INSTANTIATE_TEST_SUITE_P(
         // empty, merge and are dropped.
         diff(27, EvictionPolicy::Lru, 2048, 6, 16384, 4),
         diff(28, EvictionPolicy::Fifo, 2048, 6, 16384, 4)));
+
+TEST(PbaCacheDifferentialManyBlocks, MatchesBruteForceReference)
+{
+    // Thousands of one-sector entries: the index passes 64 blocks,
+    // so a search halves the block starts before probing them.
+    for (const EvictionPolicy policy :
+         {EvictionPolicy::Lru, EvictionPolicy::Fifo})
+        expectMatchesReference(diff(29, policy, 8192, 1, 1ULL << 20),
+                               12000);
+}
 
 } // namespace
 } // namespace logseek::disk

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -360,6 +363,41 @@ TEST(Simulator, SeekAmplificationHelper)
     // reports "undefined", not "no amplification".
     SimResult empty;
     EXPECT_FALSE(seekAmplification(empty, ls).has_value());
+}
+
+TEST(Simulator, PrintsEveryResultMember)
+{
+    // Each member holds its own value, so a member the printer
+    // leaves out or names wrong shows; seekTimeSec needs all 17
+    // digits to read back.
+    SimResult result;
+    std::map<std::string, std::string> expected;
+    std::uint64_t next = 1000;
+    forEachField(result, [&](const char *name, auto &member) {
+        using T = std::decay_t<decltype(member)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+            member = "s" + std::to_string(next++);
+            expected[name] = member;
+        } else if constexpr (std::is_same_v<T, double>) {
+            member = 1.0 / 3.0;
+        } else {
+            member = next;
+            expected[name] = std::to_string(next++);
+        }
+    });
+    std::ostringstream out;
+    out << result;
+    const std::string text = " " + out.str() + " ";
+    EXPECT_EQ(expected.size(), 35u);
+    for (const auto &[name, value] : expected)
+        EXPECT_NE(text.find(" " + name + "=" + value + " "),
+                  std::string::npos)
+            << name << " in " << text;
+
+    const std::size_t at = text.find(" seekTimeSec=");
+    ASSERT_NE(at, std::string::npos) << text;
+    EXPECT_EQ(std::stod(text.substr(at + 13)), result.seekTimeSec);
+    EXPECT_EQ(::testing::PrintToString(result), out.str());
 }
 
 TEST(Simulator, ConfigLabels)
